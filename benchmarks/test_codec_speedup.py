@@ -3,7 +3,7 @@
 Acceptance criteria of the codec refactor (ISSUE 1):
 
 * ``find_fault_free_cycle`` (codec kernel) and ``simulate_fault_row``
-  (FaultSweepRunner) are at least **5x faster** than the frozen tuple
+  (the shared KernelExecutor) are at least **5x faster** than the frozen tuple
   implementations on ``B(2, 12)`` — asserted below on median timings;
 * a fault sweep on ``B(4, 10)`` (~10^6 nodes) **completes** — run below with
   a small trial count.
@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis import FaultSweepRunner, simulate_fault_row
+from repro.analysis import simulate_fault_row, simulate_fault_table
 from repro.analysis.reference import simulate_fault_row_reference
 from repro.core import find_fault_free_cycle
 from repro.words import get_codec
@@ -104,7 +104,7 @@ def test_fault_row_runner_speedup_b2_12(benchmark, timing_enabled):
           f"reference {reference_time*1e3:.0f} ms, speedup {speedup:.1f}x")
     if timing_enabled:
         assert speedup >= REQUIRED_SPEEDUP, (
-            f"FaultSweepRunner is only {speedup:.1f}x faster than the tuple reference"
+            f"simulate_fault_row is only {speedup:.1f}x faster than the tuple reference"
         )
     benchmark.pedantic(
         simulate_fault_row,
@@ -118,11 +118,11 @@ def test_fault_row_runner_speedup_b2_12(benchmark, timing_enabled):
 def test_million_node_sweep_completes(benchmark):
     """A Table-2.x style sweep on B(4, 10): ~1.05 million processors."""
     d, n = 4, 10
-    runner = FaultSweepRunner(d, n)
-    assert runner.codec.size == 4**10 == 1_048_576
+    assert get_codec(d, n).size == 4**10 == 1_048_576
 
     rows = benchmark.pedantic(
-        runner.run_table,
+        simulate_fault_table,
+        args=(d, n),
         kwargs={"fault_counts": (0, 10, 50), "trials": 2, "seed": 0},
         iterations=1,
         rounds=1,

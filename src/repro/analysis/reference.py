@@ -2,14 +2,16 @@
 
 This module freezes the original implementation of
 :func:`repro.analysis.fault_simulation.simulate_fault_row` exactly as it
-stood before the :class:`~repro.analysis.fault_simulation.FaultSweepRunner`
-refactor: the faulty-necklace mask is expanded one necklace member at a time
-in Python, the BFS successor/predecessor matrices are rebuilt on every
-sweep, the component and the eccentricity are measured by two separate BFS
-passes, and the root fallback explores the graph in tuple space.
+stood before the integer-coded kernel
+(:class:`~repro.engine.executor.KernelExecutor`) replaced it: the
+faulty-necklace mask is expanded one necklace member at a time in Python,
+the BFS successor/predecessor matrices are rebuilt on every sweep, the
+component and the eccentricity are measured by two separate BFS passes, and
+the root fallback explores the graph in tuple space.
 
-It exists for cross-validation (the test-suite compares its rows against the
-runner's) and as the baseline for ``benchmarks/test_codec_speedup.py``.  Do
+It exists for cross-validation (the test-suite compares its rows against
+:func:`~repro.analysis.fault_simulation.simulate_fault_row`'s) and as the
+baseline for ``benchmarks/test_codec_speedup.py``.  Do
 not use it for real sweeps — that is the whole point.
 """
 

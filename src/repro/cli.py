@@ -224,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pending requests per shard before 503 "
                        "backpressure kicks in")
     serve.add_argument("--max-cached-answers", type=int, default=256,
-                       help="bound on the gateway and service answer LRUs")
+                       help="bound on the service's answer LRUs")
     serve.add_argument("--deadline-ms", type=float, default=0.0,
                        help="default per-request /measure deadline in ms "
                        "(0 = none; requests may override via 'deadline_ms')")

@@ -5,7 +5,7 @@ system (the ROADMAP's production north star):
 
 * :class:`~repro.engine.executor.KernelExecutor` — the one owner of
   topology tables, kernel scratch buffers and the batch-vs-scalar dispatch
-  heuristic; every other layer (runner, sweep engine, service, the
+  heuristic; every other layer (sweep engine, service, the
   :mod:`repro.server` gateway) is a thin client of it.
 * :class:`~repro.engine.service.EmbeddingService` — a resident query API
   ``embed(d, n, faults) -> EmbeddingResponse`` with canonical fault
@@ -23,9 +23,9 @@ system (the ROADMAP's production north star):
 :mod:`repro.engine.caches` the process-wide cache audit.
 
 The service/sweep symbols are loaded lazily (PEP 562): the analysis layer
-imports :mod:`repro.engine.cache` for its bounded runner cache while the
-sweep engine imports the analysis layer, and lazy loading keeps that
-mutual dependency acyclic at import time.
+imports :mod:`repro.engine.executor` while the sweep engine imports the
+analysis layer, and lazy loading keeps that mutual dependency acyclic at
+import time.
 """
 
 from typing import Any

@@ -1,8 +1,8 @@
 """Process-wide cache audit: every bounded cache, one stats/clear surface.
 
 A resident engine process memoises in several places: the codec tables
-(:func:`repro.words.codec.get_codec`), the fault-sweep runners
-(:mod:`repro.analysis.fault_simulation`), and the small number-theoretic
+(:func:`repro.words.codec.get_codec`), the shared kernel executors
+(:func:`repro.engine.executor.cached_executor`), and the small number-theoretic
 caches under :mod:`repro.gf` and :mod:`repro.core.bounds`.  All of them are
 bounded (a PR-2 audit capped the formerly unbounded ones), and this module
 is the single place that can enumerate, snapshot and clear them — the
@@ -70,7 +70,6 @@ def _registry() -> dict[str, Any]:
     guarantees the audit is complete even in a process that never touched
     e.g. the ``gf`` layer.
     """
-    from ..analysis import fault_simulation  # noqa: F401
     from ..core import bounds  # noqa: F401
     from ..engine import executor  # noqa: F401
     from ..gf import field, modular, primitive  # noqa: F401

@@ -1,18 +1,14 @@
 """The shared kernel executor: one owner for tables, scratch and dispatch.
 
-Before this module existed the batch-vs-scalar decision and the measurement
-core were duplicated across three layers: ``FaultSweepRunner`` held the
-kernel calls and the root-fallback machinery, ``ParallelSweepEngine`` held
-the batch-width heuristic (``_measure_chunk``), and ``EmbeddingService``
-drove the runner one scalar query at a time.  :class:`KernelExecutor` is the
-single extraction point: it owns the topology instance (and through it the
-gather tables), the reusable kernel scratch buffers
-(:class:`~repro.graphs.msbfs.BatchWorkspace`), the intact-distance cache
-behind the paper's neighbouring-root fallback, and the one
-batch-vs-scalar dispatch heuristic (:data:`KernelExecutor.MIN_KERNEL_BATCH`).
-Every consumer — the sweep runner, the parallel engine's workers, the
-embedding service, and the :mod:`repro.server` micro-batching gateway — is a
-thin client of this class, so their measurements can never diverge.
+:class:`KernelExecutor` is the one owner of the measurement core: the
+topology instance (and through it the gather tables), the reusable kernel
+scratch buffers (:class:`~repro.graphs.msbfs.BatchWorkspace`), the
+intact-distance cache behind the paper's neighbouring-root fallback, and the
+one batch-vs-scalar dispatch heuristic (:data:`KernelExecutor.MIN_KERNEL_BATCH`).
+Every consumer — :func:`~repro.analysis.fault_simulation.simulate_fault_row`,
+the parallel engine's workers, the embedding service, and the
+:mod:`repro.server` micro-batching gateway — is a thin client of this class,
+so their measurements can never diverge.
 
 Three entry shapes cover every caller:
 
@@ -22,7 +18,8 @@ Three entry shapes cover every caller:
   per bit-parallel launch, bit-for-bit identical at any batch width;
 * **explicit masks** (:meth:`measure_mask` / :meth:`measure_mask_with_root`)
   — one removed-node mask, one measurement, including the neighbouring-root
-  fallback;
+  fallback (an explicit fault *set* is normalised to its mask by
+  :meth:`repro.engine.service.EmbeddingService.measure`);
 * **mask micro-batches** (:meth:`measure_masks_batch`) — up to 64
   *different requests'* masks packed into one kernel launch (ragged fault
   sets allowed): the serving hot path.  Each lane's answer is bit-for-bit
@@ -37,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -192,8 +189,7 @@ class KernelExecutor:
     ) -> list[tuple[int, int, int]]:
         """Measure one chunk of trials, ``batch`` at a time: ``(t, size, ecc)`` list.
 
-        This is the one batch-vs-scalar dispatch heuristic in the codebase
-        (formerly duplicated between the sweep engine and the runner):
+        This is the one batch-vs-scalar dispatch heuristic in the codebase:
         ``batch=1`` takes the scalar per-trial path; ``batch>1`` packs up to
         ``batch`` trials per bit-parallel kernel call, with remnants
         narrower than :data:`MIN_KERNEL_BATCH` falling back to the scalar
@@ -222,13 +218,6 @@ class KernelExecutor:
         return out
 
     # -- explicit masks --------------------------------------------------------
-    def measure(self, faults: Iterable[Sequence[int]]) -> tuple[int, int]:
-        """Measure region size and eccentricity for an explicit fault set."""
-        fault_codes = np.asarray(
-            [self.topology.encode(w) for w in faults], dtype=np.int64
-        )
-        return self.measure_mask(self.topology.fault_unit_mask(fault_codes))
-
     def measure_mask(self, removed: np.ndarray) -> tuple[int, int]:
         """Measure for an explicit removed-node mask (the int-coded hot path)."""
         size, ecc, _ = self.measure_mask_with_root(removed)
@@ -478,9 +467,10 @@ class KernelExecutor:
 
 
 #: Bounded, observable executor cache: one entry per ``(topology, d, n, root)``
-#: served.  Every layer that needs a shared executor — the sweep engine's
-#: worker processes, the embedding service, the server's shards — resolves
-#: through here, so the kernel tables and scratch exist once per process.
+#: served.  Every layer that needs a shared executor — the sweep engine and
+#: its worker processes, the embedding service (and through it the server's
+#: shards) — resolves through here, so the kernel tables and scratch exist
+#: once per process.
 _EXECUTOR_CACHE = LRUCache(maxsize=8, name="engine.kernel_executors")
 register_cache("engine.kernel_executors", _EXECUTOR_CACHE)
 

@@ -11,9 +11,10 @@ behind exactly that API:
   canonical necklace representatives before the cache lookup.  Requests
   whose faults are rotations of each other hit the same entry.
 * **Bounded caches** — recent ``(d, n, necklaces, root_hint) -> cycle``
-  answers and the per-graph codec tables are held in LRU caches of fixed
-  size (see :mod:`repro.engine.cache`), so a resident process serves hot
-  traffic from memory without unbounded growth.
+  answers are held in an LRU cache of fixed size (see
+  :mod:`repro.engine.cache`), and the per-graph codec tables come from the
+  bounded :func:`~repro.words.codec.get_codec` cache, so a resident process
+  serves hot traffic from memory without unbounded growth.
 * **Counters** — hit/miss rates and latency totals are exposed via
   :meth:`EmbeddingService.stats`, alongside the process-wide cache audit of
   :mod:`repro.engine.caches`.
@@ -28,7 +29,12 @@ region around the root, and how many broadcast steps does it take?" for
 *any* backend of the :mod:`repro.topology` registry — De Bruijn, Kautz,
 hypercube, shuffle-exchange — normalising the fault set to canonical
 fault-unit representatives (necklaces where the backend has them) before
-the cache lookup, exactly as the ring cache does.
+the cache lookup, exactly as the ring cache does.  The measurement is split
+into a normalise step (:meth:`EmbeddingService.measure_query`) and a respond
+step (:meth:`EmbeddingService.measure_response`) so the
+:mod:`repro.server` gateway can put its micro-batcher between the two: the
+service stays the one owner of the normalisation, the answer cache and the
+response of every ``/measure``.
 """
 
 from __future__ import annotations
@@ -37,23 +43,29 @@ import threading
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core.ffc import find_fault_free_cycle, guaranteed_cycle_length
 from ..exceptions import FaultBudgetExceededError, InvalidParameterError
 from ..obs import MetricsRegistry
-from ..topology import DEFAULT_TOPOLOGY, get_topology
-from ..words.alphabet import Word, validate_word
+from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
+from ..words.alphabet import Word, integers, validate_word
 from ..words.codec import WordCodec, get_codec
 from .cache import LRUCache
+from .executor import KernelExecutor, cached_executor
 
 __all__ = [
     "EmbeddingRequest",
     "EmbeddingResponse",
+    "MeasureQuery",
     "MeasureResponse",
     "EmbeddingService",
 ]
+
+#: ``(region_size, root_eccentricity, measured root code)`` of one measurement
+Measured = tuple[int, int, int | None]
 
 
 @dataclass
@@ -93,11 +105,12 @@ class EmbeddingRequest:
         faults: Iterable[Sequence[int]] = (),
         root_hint: Sequence[int] | None = None,
     ) -> "EmbeddingRequest":
+        d, n = integers((d, n), "d and n")
         return cls(
-            d=int(d),
-            n=int(n),
-            faults=tuple(tuple(int(x) for x in w) for w in faults),
-            root_hint=None if root_hint is None else tuple(int(x) for x in root_hint),
+            d=d,
+            n=n,
+            faults=tuple(integers(w, "fault digits") for w in faults),
+            root_hint=None if root_hint is None else integers(root_hint, "root_hint digits"),
         )
 
 
@@ -187,6 +200,10 @@ class MeasureResponse:
     is the node the measurement actually ran from: the requested (or
     default) root if it survived, otherwise the sweep protocol's
     neighbouring-root fallback; ``None`` when every node was removed.
+
+    A ``degraded`` response is the gateway's bound-only answer to a
+    saturated shard: the measured fields are ``None`` and only the analytic
+    ones (reference size, guarantee bound) are filled in.
     """
 
     topology: str
@@ -195,15 +212,16 @@ class MeasureResponse:
     faults: tuple[Word, ...]
     fault_units: tuple[Word, ...]
     root: Word | None
-    region_size: int
-    root_eccentricity: int
+    region_size: int | None
+    root_eccentricity: int | None
     reference_size: int
     guarantee_bound: int | None
     cached: bool
     elapsed_s: float
+    degraded: bool = False
 
     def as_dict(self) -> dict:
-        return {
+        data = {
             "topology": self.topology,
             "d": self.d,
             "n": self.n,
@@ -217,11 +235,16 @@ class MeasureResponse:
             "cached": self.cached,
             "elapsed_s": self.elapsed_s,
         }
+        if self.degraded:
+            data["degraded"] = True
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasureResponse":
         """Lossless inverse of :meth:`as_dict`."""
-        bound = data["guarantee_bound"]
+        bound, size, ecc = (
+            data["guarantee_bound"], data["region_size"], data["root_eccentricity"]
+        )
         return cls(
             topology=str(data["topology"]),
             d=int(data["d"]),
@@ -229,13 +252,39 @@ class MeasureResponse:
             faults=tuple(tuple(int(x) for x in w) for w in data["faults"]),
             fault_units=tuple(tuple(int(x) for x in w) for w in data["fault_units"]),
             root=None if data["root"] is None else tuple(int(x) for x in data["root"]),
-            region_size=int(data["region_size"]),
-            root_eccentricity=int(data["root_eccentricity"]),
+            region_size=None if size is None else int(size),
+            root_eccentricity=None if ecc is None else int(ecc),
             reference_size=int(data["reference_size"]),
             guarantee_bound=None if bound is None else int(bound),
             cached=bool(data["cached"]),
             elapsed_s=float(data["elapsed_s"]),
+            degraded=bool(data.get("degraded", False)),
         )
+
+
+class MeasureQuery(NamedTuple):
+    """One normalised ``/measure`` query, between the normalise and respond steps.
+
+    Built by :meth:`EmbeddingService.measure_query`.  ``cached`` is the
+    answer-cache hit, ``None`` on a miss; a miss is measured from
+    :meth:`removed_mask` by ``executor`` (directly, or through the server's
+    micro-batcher over the same executor) and handed to
+    :meth:`EmbeddingService.measure_response`.  ``root`` is the requested
+    root, normalised (``None`` = the backend's default).
+    """
+
+    topology: Topology
+    executor: KernelExecutor
+    root: Word | None
+    fault_codes: list[int]
+    rep_codes: list[int]
+    key: tuple
+    cached: Measured | None
+    start: float
+
+    def removed_mask(self) -> np.ndarray:
+        """The ``bool[num_nodes]`` mask of every node in a faulty unit."""
+        return self.topology.fault_unit_mask(np.asarray(self.fault_codes, dtype=np.int64))
 
 
 class EmbeddingService:
@@ -244,11 +293,8 @@ class EmbeddingService:
     Parameters
     ----------
     max_cached_answers:
-        Bound on the ``(d, n, necklaces, root_hint) -> cycle`` LRU.
-    max_cached_codecs:
-        Bound on the per-graph codec-table LRU.  (The codec module keeps its
-        own small global cache; the service-level LRU pins the graphs *this
-        service* actually serves and gives them observable hit counters.)
+        Bound on the ``(d, n, necklaces, root_hint) -> cycle`` LRU and on the
+        measurement-answer LRU.
     registry:
         The :class:`~repro.obs.MetricsRegistry` this service reports to.  By
         default each service owns a private registry (exposed as
@@ -259,7 +305,6 @@ class EmbeddingService:
     def __init__(
         self,
         max_cached_answers: int = 256,
-        max_cached_codecs: int = 4,
         registry: MetricsRegistry | None = None,
         max_churn_sessions: int = 32,
     ) -> None:
@@ -267,7 +312,6 @@ class EmbeddingService:
         self._measurements = LRUCache(
             max_cached_answers, name="engine.measurement_answers"
         )
-        self._codecs = LRUCache(max_cached_codecs, name="engine.codec_tables")
         #: per-(d, n, root_hint) dynamic-fault streams (see apply_event);
         #: bounded so abandoned streams age out instead of accumulating
         self._churn_sessions = LRUCache(max_churn_sessions, name="engine.churn_sessions")
@@ -391,7 +435,7 @@ class EmbeddingService:
             )
         codec = self._codec(d, n)
         (word,) = self._validated_faults(codec, [node])
-        hint = None if root_hint is None else tuple(int(x) for x in root_hint)
+        hint = None if root_hint is None else integers(root_hint, "root_hint digits")
         key = (codec.d, codec.n, hint)
         with self._churn_lock:
             session = self._churn_sessions.get_or_create(key, _ChurnSession)
@@ -476,7 +520,7 @@ class EmbeddingService:
     ) -> None:
         """Drop the churn session of ``(d, n, root_hint)``: next event starts
         from an empty fault set at seq 0."""
-        hint = None if root_hint is None else tuple(int(x) for x in root_hint)
+        hint = None if root_hint is None else integers(root_hint, "root_hint digits")
         codec = self._codec(d, n)
         with self._churn_lock:
             self._churn_sessions.put((codec.d, codec.n, hint), _ChurnSession())
@@ -501,39 +545,72 @@ class EmbeddingService:
         when the requested root lies in a faulty unit — the response's
         ``root`` reports the node actually measured from.
         """
-        from .executor import cached_executor
+        query = self.measure_query(d, n, faults, root, topology)
+        measured = query.cached
+        if measured is None:
+            measured = query.executor.measure_mask_with_root(query.removed_mask())
+        return self.measure_response(query, measured)
 
+    def measure_query(
+        self,
+        d: int,
+        n: int,
+        faults: Iterable[Sequence[int]] = (),
+        root: Sequence[int] | None = None,
+        topology: str = DEFAULT_TOPOLOGY,
+    ) -> MeasureQuery:
+        """The normalise step of :meth:`measure`: validate, key, look up.
+
+        Encodes the faults, reduces them to canonical fault-unit
+        representatives, resolves the shared executor of ``(topology, d, n,
+        root)`` and looks the answer up in the measurement cache.  Every
+        number must be integer-valued (``1.7`` is rejected, never truncated).
+        """
         start = time.perf_counter()
+        d, n = integers((d, n), "d and n")
         topo = get_topology(topology, d, n)
-        fault_codes = [topo.encode(w) for w in faults]
+        fault_codes = [topo.encode(integers(w, "fault digits")) for w in faults]
         rep_codes = topo.fault_unit_reps(fault_codes)
-        root_key = None if root is None else tuple(int(x) for x in root)
+        root_key = None if root is None else integers(root, "root digits")
         executor = cached_executor(topo.d, topo.n, root_key, topo.key)
         key = (topo.key, topo.d, topo.n, tuple(rep_codes), executor.root_code)
+        return MeasureQuery(
+            topo, executor, root_key, fault_codes, rep_codes, key,
+            self._measurements.get(key), start,
+        )
 
-        measured = self._measurements.get(key)
-        cached = measured is not None
-        if not cached:
-            removed = topo.fault_unit_mask(np.asarray(fault_codes, dtype=np.int64))
-            measured = executor.measure_mask_with_root(removed)
-            self._measurements.put(key, measured)
+    def measure_response(
+        self, query: MeasureQuery, measured: Measured | None
+    ) -> MeasureResponse:
+        """The respond step of :meth:`measure`: cache, observe, build the answer.
 
-        size, ecc, measured_root = measured
-        elapsed = time.perf_counter() - start
-        self._observe("measure", elapsed, cached)
+        ``measured`` is the cache hit or the executor's answer to the miss.
+        ``None`` builds the degraded bound-only answer of a saturated shard,
+        which is neither cached nor counted as a served measurement.
+        """
+        topo = query.topology
+        cached = query.cached is not None
+        size, ecc, root = (None, None, None) if measured is None else measured
+        f = len(set(query.fault_codes))
+        elapsed = time.perf_counter() - query.start
+        if measured is not None:
+            if not cached:
+                self._measurements.put(query.key, measured)
+            self._observe("measure", elapsed, cached)
         return MeasureResponse(
             topology=topo.key,
             d=topo.d,
             n=topo.n,
-            faults=tuple(topo.decode(c) for c in fault_codes),
-            fault_units=tuple(topo.decode(c) for c in rep_codes),
-            root=None if measured_root is None else topo.decode(measured_root),
-            region_size=int(size),
-            root_eccentricity=int(ecc),
-            reference_size=topo.reference_size(len(set(fault_codes))),
-            guarantee_bound=topo.guarantee_bound(len(set(fault_codes))),
+            faults=tuple(topo.decode(c) for c in query.fault_codes),
+            fault_units=tuple(topo.decode(c) for c in query.rep_codes),
+            root=None if root is None else topo.decode(root),
+            region_size=None if size is None else int(size),
+            root_eccentricity=None if ecc is None else int(ecc),
+            reference_size=topo.reference_size(f),
+            guarantee_bound=topo.guarantee_bound(f),
             cached=cached,
             elapsed_s=elapsed,
+            degraded=measured is None,
         )
 
     # -- observability ---------------------------------------------------------
@@ -552,6 +629,7 @@ class EmbeddingService:
         """
         from .caches import cache_stats  # local import: caches pulls many modules
 
+        process_caches = cache_stats()
         requests = sum(
             child.count for child in self._obs_request_seconds.values()
         )
@@ -568,21 +646,20 @@ class EmbeddingService:
             "avg_latency_s": total_latency / requests if requests else 0.0,
             "answers": self._answers.stats().as_dict(),
             "measurements": self._measurements.stats().as_dict(),
-            "codecs": self._codecs.stats().as_dict(),
+            "codecs": process_caches["words.get_codec"],
             "churn": {
                 "incremental": int(self._obs_churn["incremental"].value()),
                 "full": int(self._obs_churn["full"].value()),
                 "replayed": int(self._obs_churn["replayed"].value()),
                 "sessions": len(self._churn_sessions),
             },
-            "process_caches": cache_stats(),
+            "process_caches": process_caches,
         }
 
     def clear(self, include_process_caches: bool = False) -> None:
         """Evict the service caches (optionally every audited process cache too)."""
         self._answers.clear()
         self._measurements.clear()
-        self._codecs.clear()
         with self._churn_lock:
             self._churn_sessions.clear()
         if include_process_caches:
@@ -591,8 +668,9 @@ class EmbeddingService:
             clear_caches()
 
     # -- internals -------------------------------------------------------------
-    def _codec(self, d: int, n: int) -> WordCodec:
-        return self._codecs.get_or_create((int(d), int(n)), lambda: get_codec(d, n))
+    @staticmethod
+    def _codec(d: int, n: int) -> WordCodec:
+        return get_codec(*integers((d, n), "d and n"))
 
     def _validated_faults(
         self, codec: WordCodec, faults: Iterable[Sequence[int]]

@@ -30,7 +30,8 @@ swept, so ``fault_counts=(5,)`` alone reproduces the ``f=5`` row of a full
 table exactly.  (All of this replaces the pre-engine scheme of one
 generator threaded sequentially through every trial, which no parallel
 execution could reproduce; the sequential scheme survives unchanged in
-:meth:`FaultSweepRunner.run_row` for the frozen-reference comparisons.)
+:func:`~repro.analysis.fault_simulation.simulate_fault_row` for the
+frozen-reference comparisons.)
 
 Long sweeps — ``B(4, 10)`` has ~10^6 processors — additionally get JSON
 checkpointing: completed trials are flushed to disk every
@@ -62,13 +63,9 @@ from ..exceptions import (
 )
 from ..graphs.msbfs import WORD_WIDTH
 from ..obs import DEFAULT_REGISTRY
-from ..topology import DEFAULT_TOPOLOGY, get_topology
-from ..analysis.fault_simulation import (
-    PAPER_FAULT_COUNTS,
-    FaultSimulationRow,
-    FaultSweepRunner,
-)
-from .executor import cached_executor
+from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
+from ..analysis.fault_simulation import PAPER_FAULT_COUNTS, FaultSimulationRow
+from .executor import KernelExecutor, cached_executor
 
 __all__ = [
     "ParallelSweepEngine",
@@ -260,9 +257,6 @@ class ParallelSweepEngine:
     progress:
         Optional callable receiving a :class:`SweepProgress` after every
         completed trial (serial) or shard (parallel).
-    runner:
-        Optional pre-built :class:`FaultSweepRunner` to reuse for inline
-        execution (worker processes always use the shared runner cache).
     batch:
         Trials measured per bit-parallel kernel call (1..64, default 64):
         each call packs up to ``batch`` trials of one row into uint64 lanes
@@ -273,17 +267,13 @@ class ParallelSweepEngine:
     topology:
         Registry key of the swept network (default ``"debruijn"`` — the
         compatibility anchor whose rows are bit-for-bit the pre-registry
-        engine's).  Any key of :mod:`repro.topology` works: the per-trial
-        seed streams, sharding, batching and checkpointing are identical
-        machinery for every backend; checkpoints are keyed by the topology
-        name.  When a pre-built ``runner`` is supplied its backend wins —
-        measurement, the reference column and the checkpoint header all come
-        from the same instance, and the runner must agree with the engine's
-        ``(d, n, root)`` and any explicit ``topology`` key (a mismatch would
-        make serial and multiprocess rows diverge, since workers rebuild
-        their runner from the engine's arguments).  A runner built on an
-        *unregistered* custom :class:`~repro.topology.base.Topology` works
-        inline; only the multiprocess path requires a registered key.
+        engine's), or a pre-built :class:`~repro.topology.base.Topology`.
+        Any key of :mod:`repro.topology` works: the per-trial seed streams,
+        sharding, batching and checkpointing are identical machinery for
+        every backend; checkpoints are keyed by the topology name.  An
+        *unregistered* custom instance is measured inline; only the
+        multiprocess path requires a registered key, since workers rebuild
+        the backend from it.
     """
 
     def __init__(
@@ -295,41 +285,15 @@ class ParallelSweepEngine:
         checkpoint_path: str | os.PathLike | None = None,
         checkpoint_every: int = 64,
         progress: Callable[[SweepProgress], None] | None = None,
-        runner: FaultSweepRunner | None = None,
         batch: int = WORD_WIDTH,
-        topology: str | None = None,
+        topology: str | Topology = DEFAULT_TOPOLOGY,
     ) -> None:
         self.d, self.n = int(d), int(n)
         self.root = None if root is None else tuple(int(x) for x in root)
-        if runner is not None:
-            # the runner measures, so its backend is authoritative for the
-            # reference column and the checkpoint header — but it must agree
-            # with the engine's own arguments, which are what worker
-            # processes rebuild their runner from
-            if topology is not None and str(topology) != runner.topology_key:
-                raise InvalidParameterError(
-                    f"topology {topology!r} conflicts with the supplied "
-                    f"runner's backend {runner.topology_key!r}"
-                )
-            if (runner.d, runner.n) != (self.d, self.n):
-                raise InvalidParameterError(
-                    f"runner measures ({runner.d}, {runner.n}) but the engine "
-                    f"was constructed for ({self.d}, {self.n})"
-                )
-            if self.root is not None and self.root != runner.root:
-                raise InvalidParameterError(
-                    f"root {self.root} conflicts with the supplied runner's "
-                    f"root {runner.root}"
-                )
-            self._topology = runner.topology
-        else:
-            # resolve eagerly: validates the key and the (d, n)
-            # interpretation, and provides the reference column for
-            # aggregation (tables stay lazy, so this is cheap even in the
-            # multiprocess parent)
-            self._topology = get_topology(
-                DEFAULT_TOPOLOGY if topology is None else topology, self.d, self.n
-            )
+        # resolve eagerly: validates the key and the (d, n) interpretation,
+        # and provides the reference column for aggregation (tables stay
+        # lazy, so this is cheap even in the multiprocess parent)
+        self._topology = get_topology(topology, self.d, self.n)
         self.topology = self._topology.key
         if workers is not None and workers < 0:
             raise InvalidParameterError(f"workers must be >= 0, got {workers}")
@@ -343,7 +307,6 @@ class ParallelSweepEngine:
         self.checkpoint_path = None if checkpoint_path is None else os.fspath(checkpoint_path)
         self.checkpoint_every = int(checkpoint_every)
         self.progress = progress
-        self._runner = runner
         self.batch = int(batch)
         self._obs_trials = _SWEEP_TRIALS.labels(self.topology)
         self._run_started = 0.0
@@ -406,10 +369,10 @@ class ParallelSweepEngine:
         total: int,
         checkpoint: _Checkpoint | None,
     ) -> None:
-        if self._runner is not None:
-            executor = self._runner.executor
-        else:
+        if self._registered():
             executor = cached_executor(self.d, self.n, self.root, self.topology)
+        else:
+            executor = KernelExecutor(self.d, self.n, self.root, self._topology)
         by_f: dict[int, list[int]] = {}
         for f, t in pending:
             by_f.setdefault(f, []).append(t)
@@ -443,11 +406,7 @@ class ParallelSweepEngine:
         # workers rebuild the backend from its registry key, so the swept
         # topology must resolve to the very backend measuring here — fail
         # with a clear message instead of diverging inside the pool
-        try:
-            registered = get_topology(self.topology, self.d, self.n)
-        except UnknownTopologyError:
-            registered = None
-        if registered is None or type(registered) is not type(self._topology):
+        if not self._registered():
             raise InvalidParameterError(
                 f"topology {type(self._topology).__name__} is not the "
                 f"registered backend for key {self.topology!r}; register it "
@@ -488,6 +447,14 @@ class ParallelSweepEngine:
                     self._report(done, total, f, lag=since_flush)
 
     # -- helpers --------------------------------------------------------------
+    def _registered(self) -> bool:
+        """Whether the registry key rebuilds this backend (same class)."""
+        try:
+            registered = get_topology(self.topology, self.d, self.n)
+        except UnknownTopologyError:
+            return False
+        return type(registered) is type(self._topology)
+
     def _checkpoint(self, rows: Sequence[int], trials: int, seed: int) -> _Checkpoint | None:
         if self.checkpoint_path is None:
             return None

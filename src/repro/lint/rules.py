@@ -263,7 +263,6 @@ class LockedLazyInitRule(Rule):
         "repro/server/",
         "repro/obs/",
         "repro/churn/",
-        "repro/analysis/fault_simulation",
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

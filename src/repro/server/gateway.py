@@ -7,14 +7,13 @@ routes:
 ``POST /measure``
     ``{"topology": "kautz", "d": 2, "n": 8, "faults": [[0,1,...], ...],
     "root": null}`` — the topology-generic fault-free-region query.
-    Requests are normalised to canonical fault-unit representatives (the
-    same cache key the :class:`~repro.engine.service.EmbeddingService`
-    uses), answered from the gateway's bounded LRU when possible, and
-    otherwise coalesced by the shard's
+    The :class:`~repro.engine.service.EmbeddingService` normalises the
+    request to canonical fault-unit representatives and answers it from its
+    measurement cache when possible; a miss is coalesced by the shard's
     :class:`~repro.server.batcher.MicroBatcher` into <= 64-lane kernel
-    launches.  The response is a
-    :class:`~repro.engine.service.MeasureResponse` dict — byte-identical
-    fields to the scalar service path.
+    launches and handed back to the service, which builds the
+    :class:`~repro.engine.service.MeasureResponse` — the scalar service path
+    with the batcher in place of the direct executor call.
 
 ``POST /embed``
     ``{"d": 2, "n": 10, "faults": [...], "root_hint": null}`` — one FFC
@@ -26,7 +25,7 @@ routes:
 
 ``GET /stats``
     Request/latency/batch-occupancy metrics per shard, gateway totals, the
-    gateway answer cache, and the full engine cache audit
+    service's measurement cache, and the full engine cache audit
     (:meth:`EmbeddingService.stats`).
 
 ``GET /healthz``
@@ -52,8 +51,9 @@ routes:
 One executor shard — one :class:`MicroBatcher` over one process-wide
 :func:`~repro.engine.executor.cached_executor` — exists per
 ``(topology, d, n, root)`` served.  Bounded shard queues shed load as HTTP
-503; malformed requests are 400s; nothing the client sends can grow server
-memory without bound (body size is capped, caches are LRU).
+503; malformed requests are 400s, and any other failure is a counted 500
+naming the exception type; nothing the client sends can grow server memory
+without bound (body size is capped, caches are LRU).
 """
 
 from __future__ import annotations
@@ -63,14 +63,12 @@ import json
 import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from ..churn.chaos import ChaosConfig, ChaosInjector
-from ..engine.cache import LRUCache
-from ..engine.service import EmbeddingRequest, EmbeddingService, MeasureResponse
+from ..engine.service import EmbeddingRequest, EmbeddingService, MeasureQuery
 from ..exceptions import (
     DeadlineExceededError,
     InvalidParameterError,
@@ -81,8 +79,7 @@ from ..graphs.msbfs import WORD_WIDTH
 from ..obs import DEFAULT_REGISTRY, MetricsRegistry, Tracer
 from ..obs.metrics import render_registries
 from ..obs.tracing import Trace
-from ..topology import DEFAULT_TOPOLOGY, get_topology
-from ..topology.base import Topology
+from ..topology import DEFAULT_TOPOLOGY
 from .batcher import MicroBatcher, QueueFullError, latency_percentiles
 
 __all__ = ["GatewayConfig", "BatchingGateway", "run"]
@@ -165,9 +162,6 @@ class BatchingGateway:
             registry=self.registry,
         )
         self._batchers: dict[tuple, MicroBatcher] = {}
-        self._measure_cache = LRUCache(
-            self.config.max_cached_answers, name="server.measure_answers"
-        )
         self._server: asyncio.AbstractServer | None = None
         self._started = time.time()
         self._obs_requests = self.registry.counter(
@@ -205,17 +199,14 @@ class BatchingGateway:
         """The display/label name of one shard key: ``kautz(2,8)[@root]``."""
         return f"{key[0]}({key[1]},{key[2]})" + (f"@{key[3]}" if key[3] else "")
 
-    def _shard(
-        self, topology: str, d: int, n: int, root: tuple[int, ...] | None
-    ) -> MicroBatcher:
-        """The (lazily created) micro-batcher of one executor shard."""
-        from ..engine.executor import cached_executor
-
-        key = (topology, d, n, root)
+    def _shard(self, query: MeasureQuery) -> MicroBatcher:
+        """The (lazily created) micro-batcher of the query's executor shard."""
+        topo = query.topology
+        key = (topo.key, topo.d, topo.n, query.root)
         batcher = self._batchers.get(key)
         if batcher is None:
             batcher = MicroBatcher(
-                cached_executor(d, n, root, topology),
+                query.executor,
                 max_batch=self.config.max_batch,
                 max_wait_s=self.config.max_wait_ms / 1000.0,
                 max_queue=self.config.queue_limit,
@@ -229,117 +220,58 @@ class BatchingGateway:
     async def _measure(
         self, payload: dict, trace: Trace | None = None, saturate: bool = False
     ) -> dict:
-        start = time.perf_counter()
-        topology = str(payload.get("topology", DEFAULT_TOPOLOGY))
-        topo = get_topology(topology, int(payload["d"]), int(payload["n"]))
-        faults = payload.get("faults") or []
-        fault_codes = [topo.encode(tuple(int(x) for x in w)) for w in faults]
-        rep_codes = topo.fault_unit_reps(fault_codes)
-        root = payload.get("root")
-        root_key = None if root is None else tuple(int(x) for x in root)
-        batcher = self._shard(topo.key, topo.d, topo.n, root_key)
-        key = (topo.key, topo.d, topo.n, tuple(rep_codes), batcher.executor.root_code)
+        """POST /measure: the service's measurement, with the batcher between
+        its normalise and respond steps (see :meth:`EmbeddingService.measure`).
 
-        if saturate:
-            # injected saturation models a fully saturated shard: it must
-            # bite deterministically, so it is decided before the answer
-            # cache can absorb the request
-            if not self.config.degraded:
-                raise QueueFullError("chaos: injected queue saturation")
-            return self._degraded_measure(topo, fault_codes, rep_codes, start, trace)
-
-        measured = self._measure_cache.get(key)
-        cached = measured is not None
-        gateway_end = time.perf_counter()
+        A saturated shard answers with the service's degraded bound-only
+        response when ``degraded`` mode is on, otherwise sheds the request.
+        """
+        query = self.service.measure_query(
+            payload["d"],
+            payload["n"],
+            payload.get("faults") or [],
+            payload.get("root"),
+            str(payload.get("topology", DEFAULT_TOPOLOGY)),
+        )
         if trace is not None:
             # parse + normalise + cache lookup; the queue/batch/kernel spans
             # (cache misses only) are recorded downstream
-            trace.add_span("gateway", start, gateway_end)
-        if not cached:
-            removed = topo.fault_unit_mask(np.asarray(fault_codes, dtype=np.int64))
+            trace.add_span("gateway", query.start, time.perf_counter())
+        measured = query.cached
+        if saturate:
+            # injected saturation models a fully saturated shard: it must
+            # bite deterministically, so a cache hit cannot absorb it
+            measured = None
+            if not self.config.degraded:
+                raise QueueFullError("chaos: injected queue saturation")
+        elif measured is None:
             deadline_ms = float(
                 payload.get("deadline_ms", self.config.deadline_ms) or 0.0
             )
             try:
-                measured = await batcher.submit(
-                    removed,
+                measured = await self._shard(query).submit(
+                    query.removed_mask(),
                     trace,
                     deadline_s=deadline_ms / 1000.0 if deadline_ms > 0 else None,
                 )
             except QueueFullError:
                 if not self.config.degraded:
                     raise
-                return self._degraded_measure(topo, fault_codes, rep_codes, start, trace)
-            self._measure_cache.put(key, measured)
-
+        if measured is None:
+            self._obs_degraded.inc()
         reply_start = time.perf_counter()
-        size, ecc, measured_root = measured
-        data = MeasureResponse(
-            topology=topo.key,
-            d=topo.d,
-            n=topo.n,
-            faults=tuple(topo.decode(c) for c in fault_codes),
-            fault_units=tuple(topo.decode(c) for c in rep_codes),
-            root=None if measured_root is None else topo.decode(measured_root),
-            region_size=int(size),
-            root_eccentricity=int(ecc),
-            reference_size=topo.reference_size(len(set(fault_codes))),
-            guarantee_bound=topo.guarantee_bound(len(set(fault_codes))),
-            cached=cached,
-            elapsed_s=0.0,
-        ).as_dict()
-        end = time.perf_counter()
-        data["elapsed_s"] = end - start
+        data = self.service.measure_response(query, measured).as_dict()
         if trace is not None:
+            end = time.perf_counter()
             trace.add_span("reply", reply_start, end)
-            trace.finish(elapsed_s=end - start)
-            data["trace_id"] = trace.trace_id
-        return data
-
-    def _degraded_measure(
-        self,
-        topo: Topology,
-        fault_codes: list[int],
-        rep_codes: np.ndarray,
-        start: float,
-        trace: Trace | None,
-    ) -> dict:
-        """Guarantee-bound-only answer served when the queue saturates.
-
-        Graceful degradation: instead of a hard 503 the client gets the
-        analytic fields that need no kernel time (the reference size and the
-        paper's worst-case guarantee bound), with the measured fields null
-        and ``degraded: true`` so no caller can mistake it for a real
-        measurement.  Never cached.
-        """
-        self._obs_degraded.inc()
-        f = len(set(fault_codes))
-        data = {
-            "topology": topo.key,
-            "d": topo.d,
-            "n": topo.n,
-            "faults": [list(topo.decode(c)) for c in fault_codes],
-            "fault_units": [list(topo.decode(int(c))) for c in rep_codes],
-            "root": None,
-            "region_size": None,
-            "root_eccentricity": None,
-            "reference_size": topo.reference_size(f),
-            "guarantee_bound": topo.guarantee_bound(f),
-            "cached": False,
-            "degraded": True,
-            "elapsed_s": 0.0,
-        }
-        end = time.perf_counter()
-        data["elapsed_s"] = end - start
-        if trace is not None:
-            trace.finish(elapsed_s=end - start)
+            trace.finish(elapsed_s=end - query.start)
             data["trace_id"] = trace.trace_id
         return data
 
     async def _embed(self, payload: dict) -> dict:
         request = EmbeddingRequest.make(
-            int(payload["d"]),
-            int(payload["n"]),
+            payload["d"],
+            payload["n"],
             faults=payload.get("faults") or [],
             root_hint=payload.get("root_hint"),
         )
@@ -360,14 +292,15 @@ class BatchingGateway:
         the session so a scenario always starts from an empty fault set.
         """
         op = str(payload.get("op", ""))
-        d, n = int(payload["d"]), int(payload["n"])
+        d, n = payload["d"], payload["n"]
         hint = payload.get("root_hint")
         loop = asyncio.get_running_loop()
         if op == "reset":
             await loop.run_in_executor(
                 None, partial(self.service.reset_churn, d, n, hint)
             )
-            return {"status": "reset", "d": d, "n": n}
+            # reset_churn accepted d and n as integer-valued
+            return {"status": "reset", "d": int(d), "n": int(n)}
         seq = payload.get("seq")
         call = partial(
             self.service.apply_event,
@@ -411,11 +344,13 @@ class BatchingGateway:
             "retried": int(self._obs_retried.value()),
         }
         server.update(latency_percentiles(self._obs_request_seconds.samples()))
+        service = self.service.stats()
         return {
             "server": server,
             "shards": shards,
-            "measure_cache": self._measure_cache.stats().as_dict(),
-            "service": self.service.stats(),
+            # a view: the service's measurement cache is the one /measure cache
+            "measure_cache": service["measurements"],
+            "service": service,
         }
 
     def metrics_text(self) -> str:
@@ -488,12 +423,19 @@ class BatchingGateway:
                     return 200, await self._churn(payload)
                 return 200, await self._embed(payload)
             return 404, {"error": f"no route {method} {path}"}
+        except _ChaosDropConnection:
+            raise
         except QueueFullError as exc:
             return 503, {"error": str(exc), "retry": True}
         except DeadlineExceededError as exc:
             return 504, {"error": str(exc), "retry": True}
-        except (ReproError, KeyError, ValueError, TypeError) as exc:
+        except (ReproError, KeyError, ValueError, TypeError, OverflowError) as exc:
             return 400, {"error": f"{type(exc).__name__}: {exc}"}
+        except Exception as exc:
+            # the gateway must keep serving: report the traceback to the
+            # server log, the exception type to the client, count it as an error
+            traceback.print_exc(file=sys.stderr)
+            return 500, {"error": "internal server error", "cause": type(exc).__name__}
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -563,7 +505,8 @@ class BatchingGateway:
 
     _REASONS = {
         200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Payload Too Large",
-        431: "Request Header Fields Too Large", 501: "Not Implemented",
+        431: "Request Header Fields Too Large", 500: "Internal Server Error",
+        501: "Not Implemented",
         503: "Service Unavailable", 504: "Gateway Timeout",
     }
 

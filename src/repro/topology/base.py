@@ -7,7 +7,7 @@ the removed node set (the paper removes whole necklaces), a measurement
 root, a fallback rule when that root dies, and the analytic reference
 column.  :class:`Topology` names exactly that surface, so the bit-parallel
 kernel (:mod:`repro.graphs.msbfs`), the scalar BFS
-(:func:`repro.graphs.components.bfs_levels_table`), the sweep runner, the
+(:func:`repro.graphs.components.bfs_levels_table`), the kernel executor, the
 parallel engine, the embedding service and the CLI can all be pointed at
 any registered backend — De Bruijn, Kautz, hypercube, shuffle-exchange —
 without knowing which one they are driving.

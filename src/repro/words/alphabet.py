@@ -32,6 +32,7 @@ __all__ = [
     "Word",
     "validate_alphabet",
     "validate_word",
+    "integers",
     "word_to_int",
     "int_to_word",
     "all_words",
@@ -83,13 +84,31 @@ def validate_word(word: Sequence[int], d: int) -> Word:
         If the word is empty.
     """
     d = validate_alphabet(d)
-    w = tuple(int(x) for x in word)
+    w = integers(word, "word digits")
     if len(w) == 0:
         raise InvalidParameterError("words must be non-empty")
     for x in w:
         if not 0 <= x < d:
             raise AlphabetError(f"digit {x} outside alphabet Z_{d} in word {w}")
     return w
+
+
+def integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, refusing to round.
+
+    ``int()`` truncates ``1.7`` to ``1`` and overflows on ``inf``: a request
+    carrying such a number would silently name another node or graph, so
+    every value that is not integer-valued raises
+    :class:`InvalidParameterError` (``what`` names the values in the message).
+    """
+    try:
+        given = tuple(values)
+        out = tuple(map(int, given))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{what} must be integers, got {values!r}") from exc
+    if out != given:
+        raise InvalidParameterError(f"{what} must be integers, got {list(given)!r}")
+    return out
 
 
 def word_to_int(word: Sequence[int], d: int) -> int:

@@ -122,34 +122,31 @@ class TestRegistry:
         assert "1019" in text
 
 
-class TestFaultSweepRunnerValidation:
+class TestMeasureValidation:
     def test_measure_rejects_wrong_length_faults(self):
-        from repro.analysis import FaultSweepRunner
+        from repro.engine import EmbeddingService
 
-        runner = FaultSweepRunner(2, 6)
         with pytest.raises(InvalidParameterError):
-            runner.measure([(1, 0, 1)])  # length 3 in B(2, 6)
+            EmbeddingService().measure(2, 6, faults=[(1, 0, 1)])  # length 3 in B(2, 6)
 
     def test_measure_rejects_out_of_alphabet_faults(self):
-        from repro.analysis import FaultSweepRunner
+        from repro.engine import EmbeddingService
         from repro.exceptions import AlphabetError
 
-        runner = FaultSweepRunner(2, 6)
         with pytest.raises(AlphabetError):
-            runner.measure([(0, 0, 0, 0, 0, 3)])
+            EmbeddingService().measure(2, 6, faults=[(0, 0, 0, 0, 0, 3)])
 
     def test_measure_matches_run_trial_statistics(self):
-        from repro.analysis import FaultSweepRunner
+        from repro.engine import EmbeddingService
 
-        runner = FaultSweepRunner(3, 4)
-        size, ecc = runner.measure([(0, 1, 2, 2)])
-        assert size == 3**4 - 4  # one aperiodic necklace removed
-        assert ecc >= 4
+        response = EmbeddingService().measure(3, 4, faults=[(0, 1, 2, 2)])
+        assert response.region_size == 3**4 - 4  # one aperiodic necklace removed
+        assert response.root_eccentricity >= 4
 
-    def test_runner_rejects_wrong_length_root(self):
-        from repro.analysis import FaultSweepRunner
+    def test_executor_rejects_wrong_length_root(self):
+        from repro.engine.executor import KernelExecutor
 
         with pytest.raises(InvalidParameterError):
-            FaultSweepRunner(2, 6, root=(1, 0, 1))
+            KernelExecutor(2, 6, root=(1, 0, 1))
         with pytest.raises(InvalidParameterError):
-            FaultSweepRunner(2, 6, root=(1,) * 7)
+            KernelExecutor(2, 6, root=(1,) * 7)

@@ -72,7 +72,6 @@ class TestCacheAudit:
         psi(6)
         stats = cache_stats()
         assert "words.get_codec" in stats
-        assert "analysis.fault_runners" in stats
         for name, info in stats.items():
             assert info["maxsize"] is not None and info["maxsize"] > 0, (
                 f"cache {name} is unbounded"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.fault_simulation import FaultSweepRunner, _cached_runner
+from repro.analysis.fault_simulation import FaultSimulationRow, simulate_fault_row
 from repro.engine.executor import KernelExecutor, cached_executor
 from repro.exceptions import InvalidParameterError
 from repro.topology import available_topologies, get_topology
@@ -79,25 +79,33 @@ class TestMeasureChunk:
 
 class TestSharing:
     def test_cached_executor_is_shared_across_layers(self):
+        from repro.engine.service import EmbeddingService
+
         executor = cached_executor(2, 6, None, "debruijn")
         assert cached_executor(2, 6, None, "debruijn") is executor
-        runner = _cached_runner(2, 6, None, "debruijn")
-        assert runner.executor is executor
+        query = EmbeddingService().measure_query(2, 6)
+        assert query.executor is executor
 
-    def test_runner_is_a_thin_client(self):
-        runner = FaultSweepRunner(2, 6, topology="kautz")
-        assert isinstance(runner.executor, KernelExecutor)
-        assert runner.topology is runner.executor.topology
-        assert runner.root_code == runner.executor.root_code
+    def test_simulate_fault_row_is_a_thin_client(self):
+        # the sequential row is run_trial on the shared executor, one rng
+        executor = cached_executor(2, 6, None, "kautz")
+        assert executor.topology is get_topology("kautz", 2, 6)
         rng = np.random.default_rng(0)
-        rng2 = np.random.default_rng(0)
-        assert runner.run_trial(2, rng) == runner.executor.run_trial(2, rng2)
+        samples = np.array([executor.run_trial(2, rng) for _ in range(5)])
+        want = FaultSimulationRow.from_samples(
+            2, 6, 2, samples[:, 0], samples[:, 1],
+            reference_size=executor.topology.reference_size(2),
+        )
+        got = simulate_fault_row(
+            2, 6, 2, trials=5, rng=np.random.default_rng(0), topology="kautz"
+        )
+        assert got == want
 
-    def test_runner_accepts_prebuilt_executor(self):
-        executor = KernelExecutor(2, 5, topology="hypercube")
-        runner = FaultSweepRunner(executor=executor)
-        assert runner.executor is executor
-        assert (runner.d, runner.n, runner.topology_key) == (2, 5, "hypercube")
+    def test_executor_on_prebuilt_topology(self):
+        topology = get_topology("hypercube", 2, 5)
+        executor = KernelExecutor(2, 5, topology=topology)
+        assert executor.topology is topology
+        assert (executor.d, executor.n, executor.topology_key) == (2, 5, "hypercube")
 
     def test_service_measure_routes_through_shared_executor(self):
         from repro.engine.service import EmbeddingService

@@ -109,6 +109,9 @@ class TestCountersAndBounds:
         service.embed(2, 5, [(0, 0, 0, 1, 1)])
         service.clear()
         assert service.stats()["answers"]["currsize"] == 0
+        # the codec tables live in the process-wide get_codec cache
+        assert service.stats()["codecs"]["name"] == "words.get_codec"
+        service.clear(include_process_caches=True)
         assert service.stats()["codecs"]["currsize"] == 0
         again = service.embed(2, 5, [(0, 0, 0, 1, 1)])
         assert not again.cached
@@ -160,14 +163,20 @@ class TestResponseRoundTrip:
 class TestMeasureQueries:
     """The topology-generic measurement API of the service."""
 
-    def test_measure_matches_runner(self):
-        from repro.analysis.fault_simulation import FaultSweepRunner
+    def test_measure_matches_executor(self):
+        import numpy as np
+
+        from repro.engine.executor import KernelExecutor
 
         service = EmbeddingService()
         response = service.measure(2, 6, faults=[(0, 1, 2, 0, 1, 2)], topology="kautz")
-        runner = FaultSweepRunner(2, 6, topology="kautz")
-        assert (response.region_size, response.root_eccentricity) == runner.measure(
-            [(0, 1, 2, 0, 1, 2)]
+        executor = KernelExecutor(2, 6, topology="kautz")
+        topo = executor.topology
+        removed = topo.fault_unit_mask(
+            np.asarray([topo.encode((0, 1, 2, 0, 1, 2))], dtype=np.int64)
+        )
+        assert (response.region_size, response.root_eccentricity) == (
+            executor.measure_mask(removed)
         )
         assert response.topology == "kautz"
 
@@ -215,3 +224,19 @@ class TestMeasureQueries:
         response = service.measure(2, 6, faults=[(0, 1, 0, 1, 0, 1)], topology="kautz")
         rebuilt = MeasureResponse.from_dict(json.loads(json.dumps(response.as_dict())))
         assert rebuilt == response
+
+    def test_degraded_response_is_bound_only_and_never_cached(self):
+        service = EmbeddingService()
+        query = service.measure_query(2, 6, faults=[(0, 1, 0, 1, 1, 0)])
+        degraded = service.measure_response(query, None)
+        data = degraded.as_dict()
+        assert data["degraded"] is True and not data["cached"]
+        assert data["region_size"] is None and data["root"] is None
+        assert MeasureResponse.from_dict(json.loads(json.dumps(data))) == degraded
+        # nothing was cached or counted: the real measurement still misses
+        assert service.stats()["requests"] == 0
+        real = service.measure(2, 6, faults=[(0, 1, 0, 1, 1, 0)])
+        assert not real.cached and "degraded" not in real.as_dict()
+        assert (real.reference_size, real.guarantee_bound) == (
+            degraded.reference_size, degraded.guarantee_bound
+        )

@@ -159,6 +159,28 @@ class TestMeasure:
         a, b = _with_gateway()(scenario)
         assert b["cached"] and a["fault_units"] == b["fault_units"]
 
+    def test_gateway_and_service_share_one_measurement_cache(self):
+        payload = {"topology": "kautz", "d": 2, "n": 6,
+                   "faults": [[0, 1, 0, 1, 2, 1]], "root": None}
+
+        async def scenario(gateway, host, port):
+            client = await AsyncServeClient.open(host, port)
+            try:
+                _, served = await client.request("POST", "/measure", payload)
+            finally:
+                await client.close()
+            direct = gateway.service.measure(
+                2, 6, faults=payload["faults"], topology="kautz"
+            )
+            return served, direct, gateway.stats()
+
+        served, direct, stats = _with_gateway()(scenario)
+        assert not served["cached"] and direct.cached  # the gateway's miss filled it
+        assert direct.region_size == served["region_size"]
+        assert stats["measure_cache"] == stats["service"]["measurements"]
+        assert stats["measure_cache"]["hits"] == 1
+        assert stats["measure_cache"]["misses"] == 1
+
 
 class TestEmbed:
     def test_embed_matches_direct_service_call(self):
