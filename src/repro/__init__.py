@@ -33,8 +33,8 @@ Layered architecture (lowest first):
   into up to 64-lane kernel launches, bounded-queue backpressure and
   ``/stats`` metrics.
 * :mod:`repro.cli` — the ``python -m repro`` / ``repro`` command line
-  (``experiment``, ``sweep``, ``bench``, ``embed``, ``serve``),
-  topology-selectable via ``--topology``.
+  (``experiment``, ``sweep``, ``embed``, ``serve``, ``churn``, ``stats``,
+  ``lint``), topology-selectable via ``--topology``.
 """
 
 from ._version import __version__

@@ -19,8 +19,7 @@ incremental/full decision counts and the final fault state — so replaying
 the same trace yields byte-identical canonical reports regardless of
 transport, timing, chaos or retries.  Wall-clock and transport-dependent
 fields (retries, degraded answers, elapsed time) ride alongside in
-:meth:`ScenarioReport.as_dict` and land in the ``BENCH_sweep.json`` run
-history via :func:`repro.engine.bench.append_run`.
+:meth:`ScenarioReport.as_dict` (what ``repro churn run --report`` writes).
 """
 
 from __future__ import annotations
@@ -184,7 +183,6 @@ def run_scenario(
     client: "ServeClient | None" = None,
     service: "EmbeddingService | None" = None,
     strict: bool = True,
-    bench_path: str | None = None,
 ) -> ScenarioReport:
     """Replay ``trace``, assert every streamed answer equals the oracle.
 
@@ -199,9 +197,6 @@ def run_scenario(
     strict:
         Raise :class:`~repro.exceptions.ScenarioMismatchError` (carrying
         the report) when any streamed answer diverges from the oracle.
-    bench_path:
-        When given, append the finished report to this ``BENCH_sweep.json``
-        run history (:func:`repro.engine.bench.append_run`).
     """
     trace.validate()
     started = time.perf_counter()
@@ -311,10 +306,6 @@ def run_scenario(
         ),
         elapsed_s=time.perf_counter() - started,
     )
-    if bench_path is not None:
-        from ..engine.bench import append_run
-
-        append_run(bench_path, churn=[report.as_dict()])
     if strict and mismatches:
         raise ScenarioMismatchError(
             f"{len(mismatches)} of {len(trace.events)} streamed answers "

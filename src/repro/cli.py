@@ -1,6 +1,6 @@
 """The ``python -m repro`` / ``repro`` command line interface.
 
-Three subcommands expose the engine subsystem and the experiment registry:
+The subcommands expose the engine subsystem and the experiment registry:
 
 ``repro experiment [NAME ...]``
     Run entries of :mod:`repro.analysis.experiments` (every table and figure
@@ -14,11 +14,6 @@ Three subcommands expose the engine subsystem and the experiment registry:
     ``--workers`` for multiprocess sharding (bit-for-bit identical rows for
     any worker count), ``--checkpoint`` for JSON checkpoint/resume and
     ``--format json``/``--format csv`` for machine-readable output.
-
-``repro bench``
-    Time the bit-parallel 64-trial sweep kernel against the scalar path on
-    the tracked configurations and write ``BENCH_sweep.json`` (uploaded as
-    a CI artifact, so the perf trajectory is recorded per commit).
 
 ``repro embed --d D --n N --faults ...``
     One :class:`repro.engine.service.EmbeddingService` query: the fault-free
@@ -43,8 +38,7 @@ Three subcommands expose the engine subsystem and the experiment registry:
     a trace — offline against an in-process service, or with ``--url``
     against a live gateway (surviving injected chaos via client retries) —
     asserting every streamed answer is bit-for-bit identical to the
-    offline batch recomputation, and optionally appending the scenario
-    report to the ``BENCH_sweep.json`` run history.
+    offline batch recomputation.
 
 ``repro lint [paths]``
     The AST invariant auditor (:mod:`repro.lint`): the REP rule catalogue
@@ -58,6 +52,9 @@ Three subcommands expose the engine subsystem and the experiment registry:
 Faulty nodes are written either as compact digit strings (``020`` for the
 word ``(0, 2, 0)``, alphabets up to 10) or comma-separated digits
 (``10,3,0`` for ``(10, 3, 0)`` in larger alphabets).
+
+Performance is measured outside the CLI by ``perfbench/run.py``, the
+repository's one benchmark (workloads and bounds in ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -185,29 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--json", action="store_true",
                        help="emit rows as JSON (same as --format json)")
 
-    bench = sub.add_parser(
-        "bench", help="benchmark the batched sweep kernel and write BENCH_sweep.json"
-    )
-    bench.add_argument("--topology", choices=available_topologies(), default="debruijn",
-                       help="benchmark this backend's tracked configurations")
-    bench.add_argument("--out", default="BENCH_sweep.json",
-                       help="output JSON file (default: BENCH_sweep.json)")
-    bench.add_argument("--trials", type=int, default=192, help="trials per row")
-    bench.add_argument("--seed", type=int, default=0, help="base seed of the trial streams")
-    bench.add_argument("--batch", type=int, default=64,
-                       help="kernel batch width to benchmark against the scalar path")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing repeats per configuration (best-of-N)")
-    bench.add_argument("--quick", action="store_true",
-                       help="small trial count for CI smoke (still writes the file)")
-    bench.add_argument("--no-serve", action="store_true",
-                       help="skip the micro-batching serve benchmark")
-    bench.add_argument("--serve-requests", type=int, default=256,
-                       help="requests per serving mode in the serve benchmark")
-    bench.add_argument("--no-obs", action="store_true",
-                       help="skip the instrumentation-overhead benchmark "
-                       "(instrumented vs REPRO_OBS_DISABLED sweep)")
-
     serve = sub.add_parser(
         "serve", help="run the async micro-batching gateway (HTTP, JSON)"
     )
@@ -312,9 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--report", default=None,
                        help="write the scenario report JSON to this file "
                        "(default: print to stdout)")
-    run_p.add_argument("--bench-out", default=None,
-                       help="append the report to this BENCH_sweep.json "
-                       "run history")
     run_p.add_argument("--no-strict", action="store_true",
                        help="report mismatches instead of failing on them")
 
@@ -452,68 +423,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .engine.bench import (
-        run_obs_overhead_bench,
-        run_serve_bench,
-        run_sweep_bench,
-        write_bench_file,
-    )
-
-    trials = 24 if args.quick else args.trials
-    results = run_sweep_bench(
-        trials=trials, seed=args.seed, batch=args.batch, repeats=args.repeats,
-        topology=args.topology,
-    )
-    serve_results = []
-    if not args.no_serve:
-        serve_results = run_serve_bench(
-            requests=64 if args.quick else args.serve_requests, seed=args.seed,
-        )
-    obs_result = None
-    if not args.no_obs:
-        obs_result = run_obs_overhead_bench(
-            trials=trials, seed=args.seed, batch=args.batch, repeats=args.repeats,
-        )
-    write_bench_file(
-        results, args.out, serve_results=serve_results, obs_result=obs_result
-    )
-    for r in results:
-        equal = "rows identical" if r.rows_equal else "ROWS DIFFER"
-        print(
-            f"{r.name} [{r.topology}]: {r.nodes} nodes, "
-            f"{len(r.fault_counts)}x{r.trials} trials — "
-            f"scalar {r.scalar_s:.3f} s, batch={r.batch} {r.batched_s:.3f} s, "
-            f"speedup {r.speedup:.1f}x ({equal})"
-        )
-    for r in serve_results:
-        equal = "answers identical" if r.answers_equal else "ANSWERS DIFFER"
-        print(
-            f"{r.name} [{r.topology}]: {r.requests} requests — "
-            f"single-query {r.single_rps:.0f} req/s "
-            f"(p50 {r.single_p50_s * 1e3:.2f} ms, p99 {r.single_p99_s * 1e3:.2f} ms), "
-            f"micro-batched {r.batched_rps:.0f} req/s "
-            f"(p50 {r.batched_p50_s * 1e3:.2f} ms, p99 {r.batched_p99_s * 1e3:.2f} ms), "
-            f"occupancy {r.batch_occupancy:.1f}, "
-            f"throughput x{r.throughput_gain:.1f} ({equal})"
-        )
-    if obs_result is not None:
-        equal = "rows identical" if obs_result.rows_equal else "ROWS DIFFER"
-        print(
-            f"{obs_result.name} [{obs_result.topology}]: "
-            f"instrumented {obs_result.instrumented_s:.3f} s, "
-            f"disabled {obs_result.disabled_s:.3f} s, "
-            f"overhead {obs_result.overhead_frac * 100:+.1f}% ({equal})"
-        )
-    print(f"wrote {args.out}")
-    ok = all(r.rows_equal for r in results) and all(
-        r.answers_equal for r in serve_results
-    )
-    if obs_result is not None:
-        ok = ok and obs_result.rows_equal
-    return 0 if ok else 1
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     from .obs import parse_prometheus_text
     from .server.client import ServeClient
@@ -620,7 +529,6 @@ def _cmd_churn(args: argparse.Namespace) -> int:
             trace,
             client=client,
             strict=not args.no_strict,
-            bench_path=args.bench_out,
         )
     except ScenarioMismatchError as exc:
         if exc.report is None:
@@ -674,8 +582,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_experiment(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "embed":
             return _cmd_embed(args)
         if args.command == "serve":

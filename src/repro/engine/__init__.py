@@ -48,19 +48,9 @@ __all__ = [
     "ParallelSweepEngine",
     "SweepProgress",
     "trial_seed_sequences",
-    "SweepBenchResult",
-    "ServeBenchResult",
-    "run_sweep_bench",
-    "run_serve_bench",
-    "write_bench_file",
 ]
 
 _LAZY = {
-    "SweepBenchResult": "bench",
-    "ServeBenchResult": "bench",
-    "run_sweep_bench": "bench",
-    "run_serve_bench": "bench",
-    "write_bench_file": "bench",
     "cache_stats": "caches",
     "clear_caches": "caches",
     "register_cache": "caches",

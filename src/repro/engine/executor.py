@@ -50,7 +50,7 @@ from ..graphs.msbfs import (
     pack_mask_lanes,
 )
 from ..network.faults import sample_code_batch, sample_fault_codes
-from ..obs import DEFAULT_REGISTRY, obs_disabled
+from ..obs import DEFAULT_REGISTRY
 from ..obs.tracing import Trace
 from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
 from .cache import LRUCache
@@ -287,8 +287,7 @@ class KernelExecutor:
             fb_start = time.perf_counter()
             results[t] = self.measure_mask_with_root(lane_removed_mask(lanes, t))
             fb_end = time.perf_counter()
-            if not obs_disabled():
-                self._obs_fallback_seconds.observe(fb_end - fb_start)
+            self._obs_fallback_seconds.observe(fb_end - fb_start)
             lane_trace = traces[t] if traces is not None else None
             if lane_trace is not None:
                 lane_trace.add_span("fallback", fb_start, fb_end)
@@ -298,10 +297,6 @@ class KernelExecutor:
     def _launch(self, lanes: np.ndarray, root: int | np.ndarray, batch: int) -> BatchStats:
         """One bit-parallel sweep through the executor's shared workspace."""
         with self._kernel_lock:
-            if obs_disabled():
-                return batched_root_stats(
-                    self.topology, lanes, root, batch, workspace=self._workspace
-                )
             start = time.perf_counter()
             stats = batched_root_stats(
                 self.topology, lanes, root, batch, workspace=self._workspace
@@ -484,6 +479,13 @@ def cached_executor(
     """The process-wide shared executor for ``(topology, d, n, root)``."""
     root_key = None if root is None else tuple(int(x) for x in root)
     key = (str(topology), int(d), int(n), root_key)
-    return _EXECUTOR_CACHE.get_or_create(
-        key, lambda: KernelExecutor(d, n, root=root_key, topology=topology)
+    topo = get_topology(topology, d, n)
+    executor = _EXECUTOR_CACHE.get_or_create(
+        key, lambda: KernelExecutor(d, n, root=root_key, topology=topo)
     )
+    if executor.topology is not topo:
+        # the topology LRU evicted and rebuilt the backend since: rebuild on
+        # the registry's instance rather than keep a second copy of its tables
+        executor = KernelExecutor(d, n, root=root_key, topology=topo)
+        _EXECUTOR_CACHE.put(key, executor)
+    return executor

@@ -436,6 +436,8 @@ class EmbeddingService:
         codec = self._codec(d, n)
         (word,) = self._validated_faults(codec, [node])
         hint = None if root_hint is None else integers(root_hint, "root_hint digits")
+        if seq is not None:
+            (seq,) = integers((seq,), "churn seq")
         key = (codec.d, codec.n, hint)
         with self._churn_lock:
             session = self._churn_sessions.get_or_create(key, _ChurnSession)

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Version of the ``--format json`` document layout.  Bump on any change to
-#: the emitted keys so BENCH-style trend tooling can detect layout drift.
+#: the emitted keys so trend tooling can detect layout drift.
 JSON_SCHEMA_VERSION = 1
 
 #: ``# repro: noqa`` (all rules) or ``# repro: noqa[REP001,REP004]``.

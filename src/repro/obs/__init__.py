@@ -1,6 +1,6 @@
 """``repro.obs`` — the unified observability layer of the serving stack.
 
-Three small, dependency-free primitives shared by every layer:
+Two small, dependency-free primitives shared by every layer:
 
 * :mod:`repro.obs.metrics` — a thread-safe metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram` with label sets)
@@ -12,10 +12,9 @@ Three small, dependency-free primitives shared by every layer:
   per-stage :class:`Span` records (queue wait, kernel launch, reply, ...)
   and a bounded :class:`Tracer` ring keeps recently finished traces,
   exportable as JSONL (the gateway's ``GET /traces``).
-* the ``REPRO_OBS_DISABLED`` gate — :func:`set_obs_disabled` /
-  :func:`obs_disabled` turn every metric mutation into an early-return
-  no-op, so the benchmark suite can price the instrumentation itself
-  (``python -m repro bench`` records instrumented vs disabled wall times).
+
+Instrumentation is always on; its cost is priced like any other cost, by a
+``perfbench/`` A/B of two commits (see ``perfbench/README.md``).
 
 The registration idiom mirrors :func:`repro.engine.caches.register_cache`:
 each instrumented module creates its metric handles at import time from the
@@ -31,9 +30,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    obs_disabled,
     parse_prometheus_text,
-    set_obs_disabled,
 )
 from .tracing import Span, Trace, Tracer
 
@@ -48,7 +45,5 @@ __all__ = [
     "Trace",
     "Tracer",
     "get_registry",
-    "obs_disabled",
     "parse_prometheus_text",
-    "set_obs_disabled",
 ]

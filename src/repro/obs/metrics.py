@@ -19,16 +19,14 @@ Exposition (:meth:`MetricsRegistry.render`) is Prometheus text format
 :func:`parse_prometheus_text` is the matching reader used by the
 ``python -m repro stats`` client and the CI scrape assertion.
 
-The ``REPRO_OBS_DISABLED=1`` environment variable (or
-:func:`set_obs_disabled` at runtime) turns every ``inc``/``set``/``observe``
-into an early-return no-op so benchmarks can price the instrumentation;
-families and children still exist, they just stop moving.
+Metrics are always on, so a ``/stats`` view over the registry always
+reflects the traffic served.  What the instrumentation costs is measured
+like any other cost, by a ``perfbench/`` A/B of two commits.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 from bisect import bisect_left
@@ -45,9 +43,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "obs_disabled",
     "parse_prometheus_text",
-    "set_obs_disabled",
 ]
 
 #: Default latency buckets (seconds): sub-millisecond kernel launches up to
@@ -59,28 +55,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-class _ObsState:
-    """Process-wide enable/disable switch (seeded from ``REPRO_OBS_DISABLED``)."""
-
-    __slots__ = ("disabled",)
-
-    def __init__(self) -> None:
-        self.disabled = os.environ.get("REPRO_OBS_DISABLED", "") not in ("", "0")
-
-
-_STATE = _ObsState()
-
-
-def obs_disabled() -> bool:
-    """True when metric mutation is globally disabled."""
-    return _STATE.disabled
-
-
-def set_obs_disabled(disabled: bool) -> None:
-    """Override the ``REPRO_OBS_DISABLED`` gate at runtime (benchmarks, tests)."""
-    _STATE.disabled = bool(disabled)
 
 
 def _escape_help(text: str) -> str:
@@ -131,8 +105,6 @@ class CounterChild(_Child):
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if _STATE.disabled:
-            return
         if amount < 0:
             raise InvalidParameterError(f"counters only go up, got inc({amount})")
         with self._lock:
@@ -153,14 +125,10 @@ class GaugeChild(_Child):
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        if _STATE.disabled:
-            return
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if _STATE.disabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -191,8 +159,6 @@ class HistogramChild(_Child):
         self._samples: deque[float] = deque(maxlen=max_samples)
 
     def observe(self, value: float) -> None:
-        if _STATE.disabled:
-            return
         value = float(value)
         index = bisect_left(self._buckets, value)
         with self._lock:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..exceptions import InvalidParameterError
-from .metrics import obs_disabled
 
 __all__ = ["Span", "Trace", "Tracer", "TRACE_ID_RE"]
 
@@ -79,8 +78,6 @@ class Trace:
 
     def add_span(self, stage: str, start: float, end: float) -> None:
         """Record a stage from absolute ``perf_counter`` readings."""
-        if obs_disabled():
-            return
         span = Span(
             stage=stage,
             start_s=max(0.0, start - self._t0),

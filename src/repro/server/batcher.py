@@ -69,8 +69,7 @@ class MicroBatcher:
         batcher dispatches to.
     max_batch:
         Lanes per kernel launch (1..64).  ``1`` serves every request with
-        its own launch — the single-query baseline the serve benchmark
-        compares against.
+        its own launch (single-query serving).
     max_wait_s:
         Longest a request may wait for lane-mates after reaching the head
         of a batch (default 2 ms): the latency price of occupancy.

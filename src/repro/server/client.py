@@ -3,7 +3,7 @@
 :class:`ServeClient` is the scripting-friendly blocking client (urllib, one
 request per call).  :class:`AsyncServeClient` holds ONE persistent HTTP/1.1
 connection and issues sequential requests over it — the load-generation
-building block: the serve benchmark and the CI smoke driver open many of
+building block: the test suite and the CI smoke driver open many of
 them and fire concurrently, which is exactly the traffic shape the
 micro-batcher coalesces.
 
@@ -318,7 +318,7 @@ async def fire_measure(
 ) -> tuple[list[dict], list[float]]:
     """Issue every payload as ``POST /measure`` over ``concurrency`` connections.
 
-    The shared load generator of the serve benchmark and the CI smoke
+    The shared load generator of the gateway tests and the CI smoke
     driver: each worker holds one persistent connection and pulls payloads
     from a shared queue — ``concurrency`` requests in flight at any moment,
     the traffic shape the micro-batcher coalesces.  Returns the answers (in

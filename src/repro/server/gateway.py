@@ -52,8 +52,16 @@ One executor shard — one :class:`MicroBatcher` over one process-wide
 :func:`~repro.engine.executor.cached_executor` — exists per
 ``(topology, d, n, root)`` served.  Bounded shard queues shed load as HTTP
 503; malformed requests are 400s, and any other failure is a counted 500
-naming the exception type; nothing the client sends can grow server memory
-without bound (body size is capped, caches are LRU).
+naming the exception type.  Request bodies are capped and the answer caches
+are LRU, but two known limits remain until the shards collapse to one per
+``(topology, d, n)`` and a node ceiling is checked before any table build:
+
+* each distinct ``root`` creates a shard, a :class:`MicroBatcher` with its
+  own worker thread, and shards are never evicted, so a client naming many
+  roots grows the gateway's threads and memory without bound;
+* nothing caps the graph size: a huge ``n`` (``n=40`` on ``/measure`` or
+  ``/embed``) is stopped only by ``MemoryError`` (a counted 500), and sizes
+  that do fit build multi-gigabyte tables.
 """
 
 from __future__ import annotations
@@ -309,12 +317,13 @@ class BatchingGateway:
             op,
             payload["node"],
             root_hint=hint,
-            seq=None if seq is None else int(seq),
+            seq=seq,
         )
         response = await loop.run_in_executor(None, call)
         data = response.as_dict(include_cycle=bool(payload.get("include_cycle", True)))
         if seq is not None:
-            # echoed so a retrying client can pair answer with delivery
+            # echoed so a retrying client can pair answer with delivery;
+            # apply_event accepted it as integer-valued
             data["seq"] = int(seq)
         return data
 

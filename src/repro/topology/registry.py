@@ -1,8 +1,8 @@
 """String-keyed registry of topology backends.
 
 One registry serves every layer that takes a ``--topology``/``topology=``
-argument: the kernel executor, the parallel engine, the embedding service, the
-benchmark harness and the CLI all resolve backends through
+argument: the kernel executor, the parallel engine, the embedding service and
+the CLI all resolve backends through
 :func:`get_topology`.  Instances are cached per ``(key, d, n)`` in a small
 bounded LRU (their tables are the expensive part, and workloads revisit the
 same one or two graphs thousands of times — the same rationale as the codec

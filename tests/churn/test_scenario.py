@@ -94,18 +94,17 @@ class TestMismatchDetection:
         assert len(report.mismatches) == 3
 
 
-class TestBenchHistory:
-    def test_reports_append_to_the_run_history(self, tmp_path):
-        path = tmp_path / "BENCH_sweep.json"
+class TestReportReplay:
+    def test_two_replays_report_identical_canonical_cores(self):
         trace = generate_trace("independent", "debruijn", 2, 4, events=4, seed=0)
-        run_scenario(trace, bench_path=str(path))
-        run_scenario(trace, bench_path=str(path))
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == 3
-        assert len(payload["runs"]) == 2
-        assert len(payload["churn"]) == 1
-        entry = payload["churn"][0]
+        first = run_scenario(trace)
+        second = run_scenario(trace)
+        entry = json.loads(json.dumps(first.as_dict()))
         assert entry["kind"] == "churn-scenario"
         assert entry["mismatches"] == []
-        # both runs replayed the same trace: identical canonical cores
-        assert payload["runs"][0]["churn"][0]["answers_digest"] == entry["answers_digest"]
+        # the report a replay writes carries the same canonical core as any
+        # other replay of the trace
+        assert {key: entry[key] for key in second.canonical_dict()} == (
+            second.canonical_dict()
+        )
+        assert entry["answers_digest"] == second.answers_digest

@@ -205,34 +205,6 @@ class TestCsvFormats:
         assert "--topology only applies" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_quick_bench_writes_file(self, tmp_path, capsys, monkeypatch):
-        out = str(tmp_path / "BENCH_sweep.json")
-        assert main(["bench", "--quick", "--repeats", "1", "--no-serve",
-                     "--out", out]) == 0
-        printed = capsys.readouterr().out
-        assert "speedup" in printed and "rows identical" in printed
-        data = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-        assert data["schema"] == 3
-        assert data["machine"]["numpy"]
-        names = {b["name"] for b in data["benchmarks"]}
-        assert "sweep_debruijn_2_12" in names
-        for entry in data["benchmarks"]:
-            assert entry["rows_equal"] is True
-            assert entry["scalar_s"] > 0 and entry["batched_s"] > 0
-            assert entry["speedup"] == pytest.approx(
-                entry["scalar_s"] / entry["batched_s"]
-            )
-        # a second invocation appends to the run history instead of
-        # overwriting the snapshot
-        assert main(["bench", "--quick", "--repeats", "1", "--no-serve",
-                     "--out", out]) == 0
-        capsys.readouterr()
-        data = json.loads((tmp_path / "BENCH_sweep.json").read_text())
-        assert len(data["runs"]) == 2
-        assert data["benchmarks"] == data["runs"][-1]["benchmarks"]
-
-
 class TestEmbedCommand:
     def test_human_output(self, capsys):
         assert main(["embed", "--d", "2", "--n", "5", "--faults", "00011"]) == 0

@@ -86,6 +86,15 @@ class TestSharing:
         query = EmbeddingService().measure_query(2, 6)
         assert query.executor is executor
 
+    def test_shared_executor_follows_a_rebuilt_topology(self):
+        executor = cached_executor(2, 6, None, "kautz")
+        # push the backend out of the 8-slot topology LRU, then rebuild it
+        for n in range(3, 12):
+            get_topology("hypercube", 2, n)
+        rebuilt = get_topology("kautz", 2, 6)
+        assert rebuilt is not executor.topology
+        assert cached_executor(2, 6, None, "kautz").topology is rebuilt
+
     def test_simulate_fault_row_is_a_thin_client(self):
         # the sequential row is run_trial on the shared executor, one rng
         executor = cached_executor(2, 6, None, "kautz")

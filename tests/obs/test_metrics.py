@@ -1,4 +1,4 @@
-"""repro.obs metrics: exact concurrent counts, valid exposition, the gate."""
+"""repro.obs metrics: exact concurrent counts, valid exposition."""
 
 import math
 import threading
@@ -12,9 +12,7 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    obs_disabled,
     parse_prometheus_text,
-    set_obs_disabled,
 )
 from repro.obs.metrics import render_registries
 
@@ -199,27 +197,6 @@ class TestExposition:
         parsed = parse_prometheus_text(render_registries([registry, other]))
         assert parsed["repro_a_total"][0][1] == 1.0
         assert parsed["repro_b_total"][0][1] == 2.0
-
-
-class TestDisabledGate:
-    def test_disabled_mutations_are_noops(self, registry):
-        c = registry.counter("repro_x_total", "help")
-        g = registry.gauge("repro_g", "help")
-        hist = registry.histogram("repro_h_seconds", "help", buckets=(1.0,))
-        assert not obs_disabled()
-        set_obs_disabled(True)
-        try:
-            assert obs_disabled()
-            c.inc()
-            g.set(9)
-            hist.observe(0.5)
-        finally:
-            set_obs_disabled(False)
-        assert c.value() == 0.0
-        assert g.value() == 0.0
-        assert hist.count == 0 and hist.samples() == []
-        c.inc()  # re-enabled: mutation flows again
-        assert c.value() == 1.0
 
 
 class TestFamilyConstructors:

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.obs import Trace, Tracer, set_obs_disabled
+from repro.obs import Trace, Tracer
 
 
 class TestTrace:
@@ -48,17 +48,6 @@ class TestTrace:
         record = trace.finish(elapsed_s=0.125)
         assert record["elapsed_s"] == 0.125
         assert tracer.get(trace.trace_id)["elapsed_s"] == 0.125
-
-    def test_disabled_gate_drops_spans(self):
-        trace = Tracer().trace()
-        set_obs_disabled(True)
-        try:
-            with trace.span("gateway"):
-                pass
-            trace.add_span("kernel", trace.t0, trace.t0 + 1.0)
-        finally:
-            set_obs_disabled(False)
-        assert trace.spans() == ()
 
     def test_standalone_trace_finish_without_tracer(self):
         trace = Trace("solo")

@@ -7,7 +7,10 @@ running the same queries one at a time through the scalar
 :class:`~repro.engine.service.EmbeddingService` path.  Hypothesis drives
 the fault sets, the duplicate structure, the arrival order and the arrival
 jitter — which together determine how requests pack into kernel lanes,
-which requests hit the answer cache, and how batches split.
+which requests hit the answer cache, and how batches split.  Each drawn
+interleaving is served twice, single-query (``max_batch=1``, one kernel
+launch per request) and micro-batched (the default 64 lanes), and both
+modes are held to the same scalar answers.
 """
 
 import asyncio
@@ -24,6 +27,9 @@ from repro.topology import available_topologies, get_topology
 _D, _N = 2, 5
 
 _TRANSIENT = ("cached", "elapsed_s", "trace_id")
+
+#: single-query serving and the default micro-batched width
+_MAX_BATCHES = (1, GatewayConfig().max_batch)
 
 
 def _canonical(payload: dict) -> str:
@@ -90,8 +96,10 @@ def test_any_interleaving_matches_sequential_scalar(topology, data):
                 service.embed(_D, _N, faults=request["faults"]).as_dict()
             ))
 
-    async def main():
-        gateway = BatchingGateway(GatewayConfig(port=0, max_wait_ms=1.0))
+    async def main(max_batch: int):
+        gateway = BatchingGateway(
+            GatewayConfig(port=0, max_batch=max_batch, max_wait_ms=1.0)
+        )
         answers: list = [None] * len(requests)
 
         async def issue(index: int, delay: float):
@@ -115,8 +123,10 @@ def test_any_interleaving_matches_sequential_scalar(topology, data):
                 await batcher.close()
         return answers
 
-    answers = asyncio.run(main())
-    for index, (answer, want) in enumerate(zip(answers, expected)):
-        assert _canonical(answer) == want, (
-            f"request {index} ({requests[index]['kind']}) diverged on {topology}"
-        )
+    for max_batch in _MAX_BATCHES:
+        answers = asyncio.run(main(max_batch))
+        for index, (answer, want) in enumerate(zip(answers, expected)):
+            assert _canonical(answer) == want, (
+                f"request {index} ({requests[index]['kind']}) diverged on "
+                f"{topology} with max_batch={max_batch}"
+            )

@@ -122,6 +122,7 @@ class TestNonIntegralNumbers:
             ("/churn", CHURN, {"node": [0, 1.7, 0]}),
             ("/churn", CHURN, {"d": 2.9}),
             ("/churn", CHURN, {"root_hint": [0, 1.2, 1]}),
+            ("/churn", CHURN, {"seq": 0.5}),
         ],
     )
     def test_rejected_with_400(self, path, base, change):
@@ -160,3 +161,6 @@ class TestNonIntegralNumbers:
             EmbeddingRequest.make(2, 3, faults=[(0, 1.7, 0)])
         with pytest.raises(InvalidParameterError):
             service.apply_event(2, 3, "fault", (0, 1.7, 0))
+        # refused as a non-integer, not merely as an out-of-order seq
+        with pytest.raises(InvalidParameterError, match="churn seq must be integers"):
+            service.apply_event(2, 3, "fault", (0, 1, 0), seq=0.5)
