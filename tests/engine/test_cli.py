@@ -238,6 +238,14 @@ class TestEmbedCommand:
         assert exc.value.code == 2
 
 
+class TestRetiredCommands:
+    def test_bench_subcommand_rejected_by_argparse(self):
+        # performance is measured by perfbench/, not by a CLI subcommand
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick"])
+        assert exc.value.code == 2
+
+
 class TestDomainErrors:
     def test_bad_fault_digit_is_a_one_line_diagnostic(self, capsys):
         assert main(["embed", "--d", "2", "--n", "5", "--faults", "00021"]) == 1

@@ -55,6 +55,29 @@ class TestMeasureMasksBatch:
             executor.measure_masks_batch(too_many)
 
 
+class TestInstrumentation:
+    """Kernel profiling is always on: every launch and fallback is timed."""
+
+    def test_every_launch_is_observed(self):
+        executor = KernelExecutor(2, 5)
+        launches = executor._obs_launches.value()
+        timed = executor._obs_launch_seconds.count
+        alive = np.zeros(executor.topology.num_nodes, dtype=bool)
+        executor.measure_masks_batch([alive] * 3)
+        executor.measure_masks_batch([alive])
+        assert executor._obs_launches.value() == launches + 2
+        assert executor._obs_launch_seconds.count == timed + 2
+
+    def test_fallback_lanes_are_timed(self):
+        executor = KernelExecutor(2, 5)
+        topo = executor.topology
+        dead = topo.fault_unit_mask(np.asarray([executor.root_code], dtype=np.int64))
+        alive = np.zeros(topo.num_nodes, dtype=bool)
+        timed = executor._obs_fallback_seconds.count
+        executor.measure_masks_batch([dead, alive, dead])
+        assert executor._obs_fallback_seconds.count == timed + 2
+
+
 class TestMeasureChunk:
     def test_scalar_and_kernel_dispatch_agree(self):
         executor = KernelExecutor(2, 6)

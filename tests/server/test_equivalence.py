@@ -7,10 +7,10 @@ running the same queries one at a time through the scalar
 :class:`~repro.engine.service.EmbeddingService` path.  Hypothesis drives
 the fault sets, the duplicate structure, the arrival order and the arrival
 jitter — which together determine how requests pack into kernel lanes,
-which requests hit the answer cache, and how batches split.  Each drawn
-interleaving is served twice, single-query (``max_batch=1``, one kernel
-launch per request) and micro-batched (the default 64 lanes), and both
-modes are held to the same scalar answers.
+which requests hit the answer cache, and how batches split.  Every
+topology is served in both gateway modes, single-query (``max_batch=1``,
+one kernel launch per request) and micro-batched (the default 64 lanes),
+and both modes are held to the same scalar answers.
 """
 
 import asyncio
@@ -58,6 +58,7 @@ def _requests_strategy(topology: str):
     return st.lists(st.one_of(measure, embed), min_size=1, max_size=16)
 
 
+@pytest.mark.parametrize("max_batch", _MAX_BATCHES)
 @pytest.mark.parametrize("topology", sorted(available_topologies()))
 @settings(
     max_examples=8,
@@ -65,7 +66,7 @@ def _requests_strategy(topology: str):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=st.data())
-def test_any_interleaving_matches_sequential_scalar(topology, data):
+def test_any_interleaving_matches_sequential_scalar(topology, max_batch, data):
     requests = data.draw(_requests_strategy(topology))
     order = data.draw(st.permutations(range(len(requests))))
     jitter = data.draw(
@@ -96,7 +97,7 @@ def test_any_interleaving_matches_sequential_scalar(topology, data):
                 service.embed(_D, _N, faults=request["faults"]).as_dict()
             ))
 
-    async def main(max_batch: int):
+    async def main():
         gateway = BatchingGateway(
             GatewayConfig(port=0, max_batch=max_batch, max_wait_ms=1.0)
         )
@@ -123,10 +124,9 @@ def test_any_interleaving_matches_sequential_scalar(topology, data):
                 await batcher.close()
         return answers
 
-    for max_batch in _MAX_BATCHES:
-        answers = asyncio.run(main(max_batch))
-        for index, (answer, want) in enumerate(zip(answers, expected)):
-            assert _canonical(answer) == want, (
-                f"request {index} ({requests[index]['kind']}) diverged on "
-                f"{topology} with max_batch={max_batch}"
-            )
+    answers = asyncio.run(main())
+    for index, (answer, want) in enumerate(zip(answers, expected)):
+        assert _canonical(answer) == want, (
+            f"request {index} ({requests[index]['kind']}) diverged on "
+            f"{topology} with max_batch={max_batch}"
+        )

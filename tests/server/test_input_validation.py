@@ -123,6 +123,7 @@ class TestNonIntegralNumbers:
             ("/churn", CHURN, {"d": 2.9}),
             ("/churn", CHURN, {"root_hint": [0, 1.2, 1]}),
             ("/churn", CHURN, {"seq": 0.5}),
+            ("/churn", CHURN, {"seq": 1.7}),
         ],
     )
     def test_rejected_with_400(self, path, base, change):
@@ -164,3 +165,13 @@ class TestNonIntegralNumbers:
         # refused as a non-integer, not merely as an out-of-order seq
         with pytest.raises(InvalidParameterError, match="churn seq must be integers"):
             service.apply_event(2, 3, "fault", (0, 1, 0), seq=0.5)
+
+    def test_rejected_seq_leaves_the_session_at_its_last_applied_seq(self):
+        service = EmbeddingService()
+        service.apply_event(2, 3, "fault", (0, 0, 1), seq=0)
+        with pytest.raises(InvalidParameterError, match="churn seq must be integers"):
+            service.apply_event(2, 3, "fault", (0, 1, 1), seq=1.5)
+        # 1.5 was not applied as seq 1: seq 1 is still free for a new event,
+        # and the refused fault never entered the session
+        response = service.apply_event(2, 3, "heal", (0, 0, 1), seq=1)
+        assert response.faults == ()
