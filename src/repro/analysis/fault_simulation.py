@@ -74,7 +74,6 @@ from ..engine.executor import cached_executor
 from ..exceptions import InvalidParameterError
 from ..graphs.msbfs import WORD_WIDTH
 from ..topology import DEFAULT_TOPOLOGY
-from ..words.alphabet import Word
 
 __all__ = [
     "FaultSimulationRow",
@@ -145,15 +144,6 @@ class FaultSimulationRow:
         )
 
 
-def _default_root(n: int) -> Word:
-    """The paper's De Bruijn measurement root ``R = 0...01``.
-
-    Kept as the frozen-reference convention (:mod:`repro.analysis.reference`);
-    topology backends expose their own analog via ``default_root_code``.
-    """
-    return (0,) * (n - 1) + (1,)
-
-
 def simulate_fault_row(
     d: int,
     n: int,
@@ -167,8 +157,9 @@ def simulate_fault_row(
 
     Follows the paper's measurement protocol exactly, including the fallback
     to a neighbouring root when ``R`` falls inside a faulty unit.  The trials
-    run one after another on the shared executor of ``(topology, d, n,
-    root)``, all drawing from the one generator ``rng`` (default: seed 0) —
+    run one after another on the shared executor of ``(topology, d, n)``
+    from the encoded ``root``, all drawing from the one generator ``rng``
+    (default: seed 0) —
     the sequential convention of the frozen reference implementation.
     ``topology`` selects any registered backend (default: the paper's De
     Bruijn graph).
@@ -177,12 +168,12 @@ def simulate_fault_row(
         raise InvalidParameterError("at least one trial is required")
     if rng is None:
         rng = np.random.default_rng(0)
-    root_key = None if root is None else tuple(int(x) for x in root)
-    executor = cached_executor(d, n, root_key, topology)
+    executor = cached_executor(d, n, topology)
+    root_code = None if root is None else executor.topology.encode(tuple(root))
     sizes = np.empty(trials, dtype=np.int64)
     eccs = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        sizes[t], eccs[t] = executor.run_trial(f, rng)
+        sizes[t], eccs[t] = executor.run_trial(f, rng, root_code)
     return FaultSimulationRow.from_samples(
         executor.d, executor.n, f, sizes, eccs,
         reference_size=executor.topology.reference_size(f),
@@ -220,11 +211,10 @@ def simulate_fault_table(
     """
     from ..engine.sweep import ParallelSweepEngine
 
-    root_key = None if root is None else tuple(int(x) for x in root)
     engine = ParallelSweepEngine(
         d,
         n,
-        root=root_key,
+        root=root,
         workers=workers,
         checkpoint_path=checkpoint_path,
         progress=progress,

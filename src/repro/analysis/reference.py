@@ -25,7 +25,7 @@ from ..exceptions import InvalidParameterError
 from ..network.faults import sample_node_faults
 from ..words.alphabet import Word, word_to_int
 from ..words.necklaces import faulty_necklaces
-from .fault_simulation import FaultSimulationRow, _default_root
+from .fault_simulation import FaultSimulationRow
 
 __all__ = ["simulate_fault_row_reference"]
 
@@ -121,7 +121,8 @@ def simulate_fault_row_reference(
         raise InvalidParameterError("at least one trial is required")
     if rng is None:
         rng = np.random.default_rng(0)
-    root_word = _default_root(n) if root is None else tuple(int(x) for x in root)
+    # the paper's R = 0...01 unless another root is given
+    root_word = (0,) * (n - 1) + (1,) if root is None else tuple(int(x) for x in root)
     sizes: list[int] = []
     eccs: list[int] = []
     for _ in range(trials):

@@ -122,7 +122,7 @@ class _Oracle:
         from ..engine.executor import cached_executor
 
         self.topo = get_topology(trace.topology, trace.d, trace.n)
-        self.executor = cached_executor(trace.d, trace.n, None, trace.topology)
+        self.executor = cached_executor(trace.d, trace.n, trace.topology)
         self.embeds = trace.topology == "debruijn"
         self.codec = get_codec(trace.d, trace.n) if self.embeds else None
 

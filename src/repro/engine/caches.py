@@ -1,7 +1,8 @@
 """Process-wide cache audit: every bounded cache, one stats/clear surface.
 
 A resident engine process memoises in several places: the codec tables
-(:func:`repro.words.codec.get_codec`), the shared kernel executors
+(:func:`repro.words.codec.get_codec`), the topology instances
+(:func:`repro.topology.get_topology`), the shared kernel executors
 (:func:`repro.engine.executor.cached_executor`), and the small number-theoretic
 caches under :mod:`repro.gf` and :mod:`repro.core.bounds`.  All of them are
 bounded (a PR-2 audit capped the formerly unbounded ones), and this module
@@ -73,6 +74,7 @@ def _registry() -> dict[str, Any]:
     from ..core import bounds  # noqa: F401
     from ..engine import executor  # noqa: F401
     from ..gf import field, modular, primitive  # noqa: F401
+    from ..topology import registry  # noqa: F401
     from ..words import codec  # noqa: F401
 
     with _LOCK:

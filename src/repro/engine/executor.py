@@ -3,12 +3,17 @@
 :class:`KernelExecutor` is the one owner of the measurement core: the
 topology instance (and through it the gather tables), the reusable kernel
 scratch buffers (:class:`~repro.graphs.msbfs.BatchWorkspace`), the
-intact-distance cache behind the paper's neighbouring-root fallback, and the
-one batch-vs-scalar dispatch heuristic (:data:`KernelExecutor.MIN_KERNEL_BATCH`).
+per-root intact-distance cache behind the paper's neighbouring-root
+fallback, and the one batch-vs-scalar dispatch heuristic
+(:data:`KernelExecutor.MIN_KERNEL_BATCH`).
 Every consumer — :func:`~repro.analysis.fault_simulation.simulate_fault_row`,
 the parallel engine's workers, the embedding service, and the
 :mod:`repro.server` micro-batching gateway — is a thin client of this class,
 so their measurements can never diverge.
+
+There is one executor per ``(topology, d, n)``: every entry point takes the
+measurement root as a node code per call (``None`` = the default
+:attr:`~KernelExecutor.root_code`, the paper's ``R = 0...01``).
 
 Three entry shapes cover every caller:
 
@@ -16,18 +21,19 @@ Three entry shapes cover every caller:
   :meth:`measure_chunk`) — the Tables 2.1/2.2 sweep path: each trial samples
   its own fault set from its own ``SeedSequence`` stream, up to 64 trials
   per bit-parallel launch, bit-for-bit identical at any batch width;
-* **explicit masks** (:meth:`measure_mask` / :meth:`measure_mask_with_root`)
+* **explicit masks** (:meth:`measure_mask_with_root`)
   — one removed-node mask, one measurement, including the neighbouring-root
   fallback (an explicit fault *set* is normalised to its mask by
   :meth:`repro.engine.service.EmbeddingService.measure`);
 * **mask micro-batches** (:meth:`measure_masks_batch`) — up to 64
   *different requests'* masks packed into one kernel launch (ragged fault
-  sets allowed): the serving hot path.  Each lane's answer is bit-for-bit
-  what :meth:`measure_mask_with_root` returns for that mask alone.
+  sets and mixed roots allowed): the serving hot path.  Each lane's answer
+  is bit-for-bit what :meth:`measure_mask_with_root` returns for that mask
+  and root alone.
 
-Executors are thread-safe: the shared scratch workspace and the lazy
-intact-distance table are lock-guarded, so the asyncio gateway can dispatch
-from worker threads while a sweep uses the same cached executor.
+Executors are thread-safe: the shared scratch workspace is lock-guarded and
+the intact-distance tables live in a thread-safe LRU, so the asyncio gateway
+can dispatch from worker threads while a sweep uses the same cached executor.
 """
 
 from __future__ import annotations
@@ -91,8 +97,12 @@ _FALLBACK_SECONDS = DEFAULT_REGISTRY.histogram(
 )
 
 
+#: Intact-distance tables kept per executor, one per fallback root in use.
+_INTACT_ROOTS = 4
+
+
 class KernelExecutor:
-    """Measurement executor for one topology instance and one root.
+    """Measurement executor for one topology instance, any root.
 
     The default backend is the paper's ``B(d, n)``; any key of the
     :mod:`repro.topology` registry (or a pre-built
@@ -100,8 +110,9 @@ class KernelExecutor:
     Construction touches the shared backend instance (cached per
     ``(topology, d, n)``); every precomputed table — gather columns,
     fault-unit closure — is then amortised across all launches.  The only
-    mutable state is scratch (the kernel workspace, the intact-distance
-    cache), all lock-guarded, so one executor can serve concurrent callers.
+    mutable state is scratch (the kernel workspace, the per-root
+    intact-distance cache), all thread-safe, so one executor can serve
+    concurrent callers with any mix of roots.
     """
 
     #: Tail chunks narrower than this run per-trial instead of through the
@@ -115,22 +126,15 @@ class KernelExecutor:
         self,
         d: int,
         n: int,
-        root: Sequence[int] | None = None,
         topology: str | Topology = DEFAULT_TOPOLOGY,
     ) -> None:
         self.topology = get_topology(topology, d, n)
         self.topology_key = self.topology.key
         self.d, self.n = self.topology.d, self.topology.n
-        #: the De Bruijn codec where the backend has one (B/UB/shuffle-exchange);
-        #: ``None`` for code-native backends like the hypercube
-        self.codec = getattr(self.topology, "codec", None)
-        if root is None:
-            self.root_code = self.topology.default_root_code
-        else:
-            self.root_code = self.topology.encode(tuple(int(x) for x in root))
-        self.root = self.topology.decode(self.root_code)
-        self._intact_dist: np.ndarray | None = None
-        self._intact_lock = threading.Lock()
+        #: the measurement root of calls passing ``root=None`` (the paper's ``R``)
+        self.root_code = self.topology.default_root_code
+        #: fault-free hop distances per root code (the fallback's metric)
+        self._intact = LRUCache(_INTACT_ROOTS, name="executor.intact_distances")
         # one reusable sweep workspace per executor; every kernel launch
         # that borrows it is serialised by this lock (concurrent callers —
         # the server's batcher threads vs an inline sweep — must not share
@@ -146,14 +150,20 @@ class KernelExecutor:
         self._obs_fallback_seconds = _FALLBACK_SECONDS.labels(self.topology_key)
 
     # -- seeded trials ---------------------------------------------------------
-    def run_trial(self, f: int, rng: np.random.Generator) -> tuple[int, int]:
+    def run_trial(
+        self, f: int, rng: np.random.Generator, root: int | None = None
+    ) -> tuple[int, int]:
         """Run one random trial: returns ``(region_size, root_eccentricity)``."""
         codes = sample_fault_codes(self.topology.num_nodes, f, rng)
         fault_codes = np.asarray(codes, dtype=np.int64)
-        return self.measure_mask(self.topology.fault_unit_mask(fault_codes))
+        removed = self.topology.fault_unit_mask(fault_codes)
+        return self.measure_mask_with_root(removed, root)[:2]
 
     def run_trials_batch(
-        self, f: int, seed_seqs: Sequence[np.random.SeedSequence]
+        self,
+        f: int,
+        seed_seqs: Sequence[np.random.SeedSequence],
+        root: int | None = None,
     ) -> list[tuple[int, int]]:
         """Run up to 64 trials in one bit-parallel sweep; results in trial order.
 
@@ -164,7 +174,7 @@ class KernelExecutor:
         kernel only changes how the ``(component size, eccentricity)``
         measurements are carried out.  Trials whose root lands in a faulty
         necklace are peeled out of the packed sweep and measured by the
-        scalar fallback (:meth:`measure_mask`), including the paper's
+        scalar fallback (:meth:`measure_mask_with_root`), including the paper's
         neighbouring-root rule and the all-nodes-removed ``(0, 0)`` case.
         """
         batch = len(seed_seqs)
@@ -175,9 +185,11 @@ class KernelExecutor:
         rngs = [np.random.default_rng(seq) for seq in seed_seqs]
         codes = sample_code_batch(self.topology.num_nodes, f, rngs)
         lanes = pack_fault_lanes(self.topology, codes)
-        stats = self._launch(lanes, self.root_code, batch)
+        root = self._root(root)
+        stats = self._launch(lanes, root, batch)
         results = list(zip(stats.sizes.tolist(), stats.eccs.tolist()))
-        for t, stat in self._batched_fallbacks(lanes, stats.dead_trials()).items():
+        dead = stats.dead_trials()
+        for t, stat in self._batched_fallbacks(lanes, dead, root).items():
             results[t] = stat
         return results
 
@@ -186,6 +198,7 @@ class KernelExecutor:
         f: int,
         items: Sequence[tuple[int, np.random.SeedSequence]],
         batch: int,
+        root: int | None = None,
     ) -> list[tuple[int, int, int]]:
         """Measure one chunk of trials, ``batch`` at a time: ``(t, size, ecc)`` list.
 
@@ -201,7 +214,8 @@ class KernelExecutor:
         """
         if batch <= 1:
             return [
-                (t, *self.run_trial(f, np.random.default_rng(seq))) for t, seq in items
+                (t, *self.run_trial(f, np.random.default_rng(seq), root))
+                for t, seq in items
             ]
         out: list[tuple[int, int, int]] = []
         min_kernel = min(self.MIN_KERNEL_BATCH, batch)
@@ -209,39 +223,37 @@ class KernelExecutor:
             part = items[start : start + batch]
             if len(part) < min_kernel:
                 out.extend(
-                    (t, *self.run_trial(f, np.random.default_rng(seq)))
+                    (t, *self.run_trial(f, np.random.default_rng(seq), root))
                     for t, seq in part
                 )
                 continue
-            stats = self.run_trials_batch(f, [seq for _, seq in part])
+            stats = self.run_trials_batch(f, [seq for _, seq in part], root)
             out.extend((t, size, ecc) for (t, _), (size, ecc) in zip(part, stats))
         return out
 
     # -- explicit masks --------------------------------------------------------
-    def measure_mask(self, removed: np.ndarray) -> tuple[int, int]:
-        """Measure for an explicit removed-node mask (the int-coded hot path)."""
-        size, ecc, _ = self.measure_mask_with_root(removed)
-        return size, ecc
+    def measure_mask_with_root(
+        self, removed: np.ndarray, root: int | None = None
+    ) -> tuple[int, int, int | None]:
+        """Measure an explicit removed-node mask: ``(size, ecc, measured root)``.
 
-    def measure_mask_with_root(self, removed: np.ndarray) -> tuple[int, int, int | None]:
-        """Like :meth:`measure_mask`, also returning the measured root's code.
-
-        The root is the configured ``R`` when it survives, otherwise the
-        sweep protocol's neighbouring-root fallback; ``None`` (with a
-        ``(0, 0)`` measurement) when every node was removed.  Consumers that
-        report the measurement root — e.g.
-        :meth:`repro.engine.service.EmbeddingService.measure` — use this
-        form so the reported root can never drift from the measured one.
+        The measured root is ``root`` (default :attr:`root_code`) when it
+        survives, otherwise the sweep protocol's neighbouring-root fallback;
+        ``None`` (with a ``(0, 0)`` measurement) when every node was removed.
+        Reporting it with the measurement means a consumer's reported root
+        (e.g. :meth:`repro.engine.service.EmbeddingService.measure`) can
+        never drift from the measured one.
         """
-        root = self._measurement_root(removed)
-        if root is None:
+        measured = self._measurement_root(removed, self._root(root))
+        if measured is None:
             return 0, 0, None
-        return (*self._measure_from_root(removed, root), int(root))
+        return (*self._measure_from_root(removed, measured), int(measured))
 
     # -- mask micro-batches (the serving hot path) -----------------------------
     def measure_masks_batch(
         self,
         masks: Sequence[np.ndarray],
+        roots: Sequence[int] | None = None,
         traces: Sequence[Trace | None] | None = None,
     ) -> list[tuple[int, int, int | None]]:
         """Measure up to 64 *different requests'* masks in one kernel launch.
@@ -249,10 +261,12 @@ class KernelExecutor:
         Each entry of ``masks`` is one request's ``bool[num_nodes]``
         removed-node mask (requests may remove different numbers of fault
         units — the batch is ragged, unlike a sweep row's rectangular trial
-        batch).  Lane ``t``'s answer is bit-for-bit
-        :meth:`measure_mask_with_root` on ``masks[t]`` alone; requests whose
-        root lies in a removed unit are peeled onto the scalar fallback,
-        which also reports the fallback root the micro-batched kernel cannot.
+        batch).  ``roots[t]`` (when given, aligned with ``masks``) is lane
+        ``t``'s root code; the kernel starts every lane from its own root.
+        Lane ``t``'s answer is bit-for-bit ``measure_mask_with_root(masks[t],
+        roots[t])`` alone; requests whose root lies in a removed unit are
+        peeled onto the scalar fallback, which also reports the fallback
+        root the micro-batched kernel cannot.
         This is the :mod:`repro.server` gateway's dispatch target: one
         full-graph sweep amortised over every coalesced request.
 
@@ -269,23 +283,29 @@ class KernelExecutor:
             raise InvalidParameterError(
                 f"got {len(traces)} traces for {batch} masks"
             )
+        if roots is None:
+            roots = [self.root_code] * batch
+        elif len(roots) != batch:
+            raise InvalidParameterError(f"got {len(roots)} roots for {batch} masks")
         lanes = pack_mask_lanes(masks, self.topology.num_nodes)
         launch_start = time.perf_counter()
-        stats = self._launch(lanes, self.root_code, batch)
+        stats = self._launch(lanes, np.asarray(roots, dtype=np.int64), batch)
         launch_end = time.perf_counter()
         if traces is not None:
             for trace in traces:
                 if trace is not None:
                     trace.add_span("kernel", launch_start, launch_end)
         results: list[tuple[int, int, int | None]] = [
-            (size, ecc, self.root_code)
-            for size, ecc in zip(stats.sizes.tolist(), stats.eccs.tolist())
+            (size, ecc, int(root))
+            for size, ecc, root in zip(stats.sizes.tolist(), stats.eccs.tolist(), roots)
         ]
         for t in stats.dead_trials():
             # rare in served regimes, and the fallback must report its root:
             # the scalar path answers both
             fb_start = time.perf_counter()
-            results[t] = self.measure_mask_with_root(lane_removed_mask(lanes, t))
+            results[t] = self.measure_mask_with_root(
+                lane_removed_mask(lanes, t), roots[t]
+            )
             fb_end = time.perf_counter()
             self._obs_fallback_seconds.observe(fb_end - fb_start)
             lane_trace = traces[t] if traces is not None else None
@@ -308,7 +328,7 @@ class KernelExecutor:
         return stats
 
     def _batched_fallbacks(
-        self, lanes: np.ndarray, dead: Sequence[int]
+        self, lanes: np.ndarray, dead: Sequence[int], root: int
     ) -> dict[int, tuple[int, int]]:
         """Fallback measurements for the batch's root-dead trials, lane-packed.
 
@@ -316,8 +336,9 @@ class KernelExecutor:
         over its own fault mask (a single candidate is just a 1-lane
         segment), so one extra kernel sweep usually resolves every peeled
         trial of the batch at once.  Per trial the result is bit-for-bit
-        :meth:`_fallback_stats` (itself bit-for-bit :meth:`measure_mask`);
-        a trial with more than 64 candidates falls back to chunked racing.
+        :meth:`measure_mask_with_root`: ``np.argmax`` picks the first maximum, the
+        ascending-code strict-'>' scan of :meth:`_measurement_root`.  A trial
+        with more than 64 candidates takes the scalar path itself.
         """
         out: dict[int, tuple[int, int]] = {}
         pending: list[tuple[int, np.ndarray]] = []
@@ -326,9 +347,9 @@ class KernelExecutor:
             if not (~removed).any():
                 out[t] = (0, 0)
                 continue
-            candidates = self._fallback_candidates(removed)
+            candidates = self._fallback_candidates(removed, root)
             if candidates.size > WORD_WIDTH:
-                out[t] = self._fallback_stats(removed)
+                out[t] = self.measure_mask_with_root(removed, root)[:2]
             else:
                 # single candidates ride along too: a 1-lane segment of the
                 # race sweep is exactly that root's BFS
@@ -380,28 +401,32 @@ class KernelExecutor:
         dist = bfs_levels_table(self.topology.successor_table, removed, root)
         return int((dist >= 0).sum()), int(dist.max())
 
-    def _intact_distances(self) -> np.ndarray:
-        """Fault-free hop distances from ``R`` (either direction), cached."""
-        with self._intact_lock:
-            if self._intact_dist is None:
-                self._intact_dist = bfs_levels_table(
-                    self.topology.neighbour_table,
-                    np.zeros(self.topology.num_nodes, dtype=bool),
-                    self.root_code,
-                )
-            return self._intact_dist
+    def _root(self, root: int | None) -> int:
+        """The root code of one call: ``root``, validated, or the default."""
+        return self.root_code if root is None else self.topology.encode(root)
 
-    def _fallback_candidates(self, removed: np.ndarray) -> np.ndarray:
+    def _intact_distances(self, root: int) -> np.ndarray:
+        """Fault-free hop distances from ``root`` (either direction), cached."""
+        return self._intact.get_or_create(
+            root,
+            lambda: bfs_levels_table(
+                self.topology.neighbour_table,
+                np.zeros(self.topology.num_nodes, dtype=bool),
+                root,
+            ),
+        )
+
+    def _fallback_candidates(self, removed: np.ndarray, root: int) -> np.ndarray:
         """The paper's "neighboring node" candidates: nearest survivors, ascending."""
         alive = ~removed
-        dist = self._intact_distances()
+        dist = self._intact_distances(root)
         nearest = dist[alive].min()
         return np.flatnonzero(alive & (dist == nearest))
 
-    def _measurement_root(self, removed: np.ndarray) -> int | None:
-        """The root ``R``, or the paper's "neighboring node" fallback.
+    def _measurement_root(self, removed: np.ndarray, root: int) -> int | None:
+        """The root ``root``, or the paper's "neighboring node" fallback.
 
-        The fallback takes the surviving nodes closest to ``R`` in the
+        The fallback takes the surviving nodes closest to ``root`` in the
         fault-free graph (hop distance, either direction) and among those
         prefers one lying in the largest component (ties: smallest code).
 
@@ -412,11 +437,11 @@ class KernelExecutor:
         component size — a configuration requiring the root's necklace *and*
         all of its neighbours to die, far outside the tabulated regimes.
         """
-        if not removed[self.root_code]:
-            return self.root_code
+        if not removed[root]:
+            return root
         if not (~removed).any():
             return None
-        candidates = self._fallback_candidates(removed)
+        candidates = self._fallback_candidates(removed, root)
         if candidates.size == 1:
             return int(candidates[0])
         best_root, best_size = None, -1
@@ -427,65 +452,33 @@ class KernelExecutor:
                 best_root, best_size = value, size
         return best_root
 
-    def _fallback_stats(self, removed: np.ndarray) -> tuple[int, int]:
-        """Measure a trial whose root ``R`` lies in a faulty necklace.
-
-        Bit-for-bit the result of :meth:`measure_mask` on the same mask, but
-        with the tied fallback candidates raced through ONE bit-parallel
-        sweep (each candidate root in its own lane over the shared fault
-        mask) instead of one scalar BFS per candidate plus a final re-sweep
-        of the winner.  The scalar tie-break is preserved exactly: the
-        winner is the first maximum over candidates in ascending code order.
-        """
-        if not (~removed).any():
-            return 0, 0
-        candidates = self._fallback_candidates(removed)
-        if candidates.size == 1:
-            return self._measure_from_root(removed, int(candidates[0]))
-        best_size, best_ecc = -1, 0
-        for start in range(0, candidates.size, WORD_WIDTH):
-            chunk = candidates[start : start + WORD_WIDTH]
-            lanes = removed.astype(np.uint64) * np.uint64(2 ** len(chunk) - 1)
-            stats = self._launch(lanes, chunk, len(chunk))
-            # np.argmax returns the FIRST maximum: the ascending-code strict-'>'
-            # scan of _measurement_root, lane-parallel.
-            i = int(np.argmax(stats.sizes))
-            if int(stats.sizes[i]) > best_size:
-                best_size, best_ecc = int(stats.sizes[i]), int(stats.eccs[i])
-        return best_size, best_ecc
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"KernelExecutor({self.topology_key!r}, d={self.d}, n={self.n}, "
-            f"root={self.root_code})"
+            f"KernelExecutor({self.topology_key!r}, d={self.d}, n={self.n})"
         )
 
 
-#: Bounded, observable executor cache: one entry per ``(topology, d, n, root)``
-#: served.  Every layer that needs a shared executor — the sweep engine and
-#: its worker processes, the embedding service (and through it the server's
-#: shards) — resolves through here, so the kernel tables and scratch exist
-#: once per process.
+#: Bounded, observable executor cache: one entry per ``(topology, d, n)``
+#: served; the root is a per-call argument, not part of the key.  Every layer
+#: that needs a shared executor — the sweep engine and its worker processes,
+#: the embedding service (and through it the server's shards) — resolves
+#: through here, so the kernel tables and scratch exist once per process.
 _EXECUTOR_CACHE = LRUCache(maxsize=8, name="engine.kernel_executors")
 register_cache("engine.kernel_executors", _EXECUTOR_CACHE)
 
 
 def cached_executor(
-    d: int,
-    n: int,
-    root: Sequence[int] | None = None,
-    topology: str = DEFAULT_TOPOLOGY,
+    d: int, n: int, topology: str = DEFAULT_TOPOLOGY
 ) -> KernelExecutor:
-    """The process-wide shared executor for ``(topology, d, n, root)``."""
-    root_key = None if root is None else tuple(int(x) for x in root)
-    key = (str(topology), int(d), int(n), root_key)
+    """The process-wide shared executor for ``(topology, d, n)``."""
+    key = (str(topology), int(d), int(n))
     topo = get_topology(topology, d, n)
     executor = _EXECUTOR_CACHE.get_or_create(
-        key, lambda: KernelExecutor(d, n, root=root_key, topology=topo)
+        key, lambda: KernelExecutor(d, n, topology=topo)
     )
     if executor.topology is not topo:
         # the topology LRU evicted and rebuilt the backend since: rebuild on
         # the registry's instance rather than keep a second copy of its tables
-        executor = KernelExecutor(d, n, root=root_key, topology=topo)
+        executor = KernelExecutor(d, n, topology=topo)
         _EXECUTOR_CACHE.put(key, executor)
     return executor

@@ -267,15 +267,15 @@ class MeasureQuery(NamedTuple):
 
     Built by :meth:`EmbeddingService.measure_query`.  ``cached`` is the
     answer-cache hit, ``None`` on a miss; a miss is measured from
-    :meth:`removed_mask` by ``executor`` (directly, or through the server's
-    micro-batcher over the same executor) and handed to
-    :meth:`EmbeddingService.measure_response`.  ``root`` is the requested
-    root, normalised (``None`` = the backend's default).
+    :meth:`removed_mask` and ``root_code`` by ``executor`` (directly, or
+    through the server's micro-batcher over the same executor) and handed to
+    :meth:`EmbeddingService.measure_response`.  ``root_code`` is the
+    requested root, encoded once (the backend's default when none was given).
     """
 
     topology: Topology
     executor: KernelExecutor
-    root: Word | None
+    root_code: int
     fault_codes: list[int]
     rep_codes: list[int]
     key: tuple
@@ -378,7 +378,13 @@ class EmbeddingService:
             )
             cycle = result.cycle
             self._answers.put(key, cycle)
+        return self._ring_response(codec, fault_words, rep_codes, cycle, cached, start)
 
+    def _ring_response(
+        self, codec: WordCodec, fault_words: Sequence[Word], rep_codes: Iterable[int],
+        cycle: tuple[Word, ...], cached: bool, start: float,
+    ) -> EmbeddingResponse:
+        """Observe one answered ring query and build its response."""
         bound = self._guarantee_bound(codec.d, codec.n, len(set(fault_words)))
         elapsed = time.perf_counter() - start
         self._observe("embed", elapsed, cached)
@@ -481,21 +487,8 @@ class EmbeddingService:
             if session.started and rep_key == session.rep_key:
                 # the representative set is untouched: the previous cycle IS
                 # the full recomputation's answer (same cache key), reuse it
-                cycle = session.cycle
-                bound = self._guarantee_bound(codec.d, codec.n, len(fault_words))
-                elapsed = time.perf_counter() - start
-                self._observe("embed", elapsed, cached=True)
-                response = EmbeddingResponse(
-                    d=codec.d,
-                    n=codec.n,
-                    faults=tuple(fault_words),
-                    faulty_necklaces=tuple(codec.decode(c) for c in rep_key),
-                    cycle=cycle,
-                    length=len(cycle),
-                    guarantee_bound=bound,
-                    meets_guarantee=True if bound is None else len(cycle) >= bound,
-                    cached=True,
-                    elapsed_s=elapsed,
+                response = self._ring_response(
+                    codec, fault_words, rep_key, session.cycle, True, start
                 )
                 self._obs_churn["incremental"].inc()
             else:
@@ -550,7 +543,9 @@ class EmbeddingService:
         query = self.measure_query(d, n, faults, root, topology)
         measured = query.cached
         if measured is None:
-            measured = query.executor.measure_mask_with_root(query.removed_mask())
+            measured = query.executor.measure_mask_with_root(
+                query.removed_mask(), query.root_code
+            )
         return self.measure_response(query, measured)
 
     def measure_query(
@@ -563,21 +558,23 @@ class EmbeddingService:
     ) -> MeasureQuery:
         """The normalise step of :meth:`measure`: validate, key, look up.
 
-        Encodes the faults, reduces them to canonical fault-unit
-        representatives, resolves the shared executor of ``(topology, d, n,
-        root)`` and looks the answer up in the measurement cache.  Every
-        number must be integer-valued (``1.7`` is rejected, never truncated).
+        Encodes the faults and the root, reduces the faults to canonical
+        fault-unit representatives, resolves the shared executor of
+        ``(topology, d, n)`` and looks the answer up in the measurement
+        cache.  Every number must be integer-valued (``1.7`` is rejected,
+        never truncated).
         """
         start = time.perf_counter()
         d, n = integers((d, n), "d and n")
         topo = get_topology(topology, d, n)
         fault_codes = [topo.encode(integers(w, "fault digits")) for w in faults]
         rep_codes = topo.fault_unit_reps(fault_codes)
-        root_key = None if root is None else integers(root, "root digits")
-        executor = cached_executor(topo.d, topo.n, root_key, topo.key)
-        key = (topo.key, topo.d, topo.n, tuple(rep_codes), executor.root_code)
+        root = None if root is None else integers(root, "root digits")
+        root_code = topo.default_root_code if root is None else topo.encode(root)
+        executor = cached_executor(topo.d, topo.n, topo.key)
+        key = (topo.key, topo.d, topo.n, tuple(rep_codes), root_code)
         return MeasureQuery(
-            topo, executor, root_key, fault_codes, rep_codes, key,
+            topo, executor, root_code, fault_codes, rep_codes, key,
             self._measurements.get(key), start,
         )
 

@@ -133,16 +133,16 @@ def _run_shard(
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Worker entry point: run one shard of trials for one fault count.
 
-    ``payload`` is ``(topology, d, n, root, f, items, batch)`` with
+    ``payload`` is ``(topology, d, n, root_code, f, items, batch)`` with
     ``items`` a list of ``(trial_index, SeedSequence)`` pairs.  The
     per-process executor is shared across shards via the bounded executor
     cache, so backend tables are built once per worker regardless of shard
     count; the batch-vs-scalar dispatch lives in
     :meth:`~repro.engine.executor.KernelExecutor.measure_chunk`.
     """
-    topology, d, n, root, f, items, batch = payload
-    executor = cached_executor(d, n, root, topology)
-    return f, executor.measure_chunk(f, items, batch)
+    topology, d, n, root_code, f, items, batch = payload
+    executor = cached_executor(d, n, topology)
+    return f, executor.measure_chunk(f, items, batch, root_code)
 
 
 class _Checkpoint:
@@ -295,6 +295,7 @@ class ParallelSweepEngine:
         # lazy, so this is cheap even in the multiprocess parent)
         self._topology = get_topology(topology, self.d, self.n)
         self.topology = self._topology.key
+        self._root_code = None if self.root is None else self._topology.encode(self.root)
         if workers is not None and workers < 0:
             raise InvalidParameterError(f"workers must be >= 0, got {workers}")
         if checkpoint_every < 1:
@@ -370,9 +371,9 @@ class ParallelSweepEngine:
         checkpoint: _Checkpoint | None,
     ) -> None:
         if self._registered():
-            executor = cached_executor(self.d, self.n, self.root, self.topology)
+            executor = cached_executor(self.d, self.n, self.topology)
         else:
-            executor = KernelExecutor(self.d, self.n, self.root, self._topology)
+            executor = KernelExecutor(self.d, self.n, self._topology)
         by_f: dict[int, list[int]] = {}
         for f, t in pending:
             by_f.setdefault(f, []).append(t)
@@ -381,7 +382,7 @@ class ParallelSweepEngine:
         for f, ts in by_f.items():
             for start in range(0, len(ts), self.batch):
                 items = [(t, seeds[f][t]) for t in ts[start : start + self.batch]]
-                results = executor.measure_chunk(f, items, self.batch)
+                results = executor.measure_chunk(f, items, self.batch, self._root_code)
                 for t, size, ecc in results:
                     completed[(f, t)] = (size, ecc)
                 self._obs_trials.inc(len(results))
@@ -425,7 +426,7 @@ class ParallelSweepEngine:
             for start in range(0, len(ts), shard_size):
                 items = [(t, seeds[f][t]) for t in ts[start : start + shard_size]]
                 shards.append(
-                    (self.topology, self.d, self.n, self.root, f, items, self.batch)
+                    (self.topology, self.d, self.n, self._root_code, f, items, self.batch)
                 )
 
         done = total - len(pending)

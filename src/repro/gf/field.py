@@ -323,17 +323,6 @@ def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     return num
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
 def _is_irreducible_mod_p(poly: tuple[int, ...], p: int) -> bool:
     """Test irreducibility of a monic polynomial over ``Z_p`` by trial division."""
     coeffs = _poly_trim([c % p for c in poly])

@@ -167,9 +167,6 @@ class NecklaceCoordinationProgram(NodeProgram):
         ctx.halt()  # pragma: no cover - defensive
 
     # -- local decisions (all computed from necklace-circulated data) ------------------
-    def _members(self, ctx: NodeContext) -> list[Word]:
-        return list(ctx.state["necklace_info"].keys())
-
     def _chosen_member(self, ctx: NodeContext) -> Word | None:
         """The earliest-received member of this necklace (ties: minimal node)."""
         infos = ctx.state["necklace_info"]

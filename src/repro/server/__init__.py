@@ -12,7 +12,7 @@ idiom (many concurrent tasks driven through one shared execution context):
 * :class:`~repro.server.gateway.BatchingGateway` — an asyncio HTTP/1.1
   server (``python -m repro serve``) exposing ``POST /embed``,
   ``POST /measure``, ``GET /stats`` and ``GET /healthz``, with one executor
-  shard (and one batcher) per ``(topology, d, n, root)`` served;
+  shard (and one batcher) per ``(topology, d, n)`` served;
 * :mod:`~repro.server.client` — a small stdlib-only client
   (:class:`~repro.server.client.ServeClient` for scripts,
   :class:`~repro.server.client.AsyncServeClient` for load generation);

@@ -1,7 +1,9 @@
 """Micro-batching of concurrent measure requests onto the kernel executor.
 
-One :class:`MicroBatcher` fronts one executor shard.  Concurrent callers
-``await submit(mask)``; a single flusher task drains the bounded queue and
+One :class:`MicroBatcher` fronts one executor shard, i.e. one
+``(topology, d, n)``.  Concurrent callers ``await submit(mask, root)``; each
+queued lane carries its own root code, so requests naming different roots
+share a batch.  A single flusher task drains the bounded queue and
 packs up to ``max_batch`` (<= 64) pending masks into ONE bit-parallel kernel
 launch (:meth:`repro.engine.executor.KernelExecutor.measure_masks_batch`),
 flushing early when the batch fills and at latest ``max_wait_s`` after the
@@ -18,8 +20,8 @@ HTTP 503 so load sheds at the edge.
 
 Every answer is bit-for-bit what the scalar path
 (:meth:`~repro.engine.executor.KernelExecutor.measure_mask_with_root`)
-returns for the same mask: batching only changes how many requests share a
-sweep, never what any request observes.
+returns for the same mask and root: batching only changes how many requests
+share a sweep, never what any request observes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -46,6 +48,17 @@ __all__ = ["MicroBatcher", "QueueFullError", "latency_percentiles"]
 
 class QueueFullError(RuntimeError):
     """Raised by ``submit`` when the shard's bounded request queue is full."""
+
+
+class _Lane(NamedTuple):
+    """One queued request."""
+
+    mask: np.ndarray
+    root: int
+    future: asyncio.Future
+    enqueued: float
+    trace: Trace | None
+    deadline: float | None
 
 
 def latency_percentiles(samples: Iterable[float]) -> dict[str, float]:
@@ -157,13 +170,16 @@ class MicroBatcher:
     async def submit(
         self,
         mask: np.ndarray,
+        root: int | None = None,
         trace: Trace | None = None,
         deadline_s: float | None = None,
     ) -> tuple[int, int, int | None]:
         """Measure one request's removed-node mask; resolves when its batch lands.
 
-        Returns ``(region_size, root_eccentricity, measured_root_code)`` —
-        bit-for-bit the scalar answer for ``mask`` alone.  Raises
+        ``root`` is the request's root code (``None`` = the executor's
+        default).  Returns ``(region_size, root_eccentricity,
+        measured_root_code)`` — bit-for-bit the scalar answer for ``mask``
+        and ``root`` alone.  Raises
         :class:`QueueFullError` when the shard queue is at capacity.  When a
         ``trace`` rides along it receives ``queue``/``batch`` spans here and
         ``kernel`` (plus ``fallback``) spans from the executor.
@@ -183,8 +199,12 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         deadline = None if deadline_s is None else loop.time() + deadline_s
+        if root is None:
+            root = self.executor.root_code
         try:
-            self._queue.put_nowait((mask, future, time.perf_counter(), trace, deadline))
+            self._queue.put_nowait(
+                _Lane(mask, root, future, time.perf_counter(), trace, deadline)
+            )
         except asyncio.QueueFull:
             self._obs_rejected.inc()
             raise QueueFullError(
@@ -242,79 +262,66 @@ class MicroBatcher:
             return f"mask must be a numpy bool array, got {type(mask).__name__}"
         if mask.dtype != np.bool_:
             return f"mask dtype must be bool, got {mask.dtype}"
-        num_nodes = getattr(
-            getattr(self.executor, "topology", None), "num_nodes", None
-        )
-        if mask.ndim != 1 or (num_nodes is not None and mask.shape != (num_nodes,)):
-            expected = "(num_nodes,)" if num_nodes is None else f"({num_nodes},)"
+        expected = (self.executor.topology.num_nodes,)
+        if mask.shape != expected:
             return f"mask shape must be {expected}, got {mask.shape}"
         return None
 
-    async def _dispatch(
-        self,
-        batch: list[
-            tuple[np.ndarray, asyncio.Future, float, Trace | None, float | None]
-        ],
-    ) -> None:
+    async def _dispatch(self, batch: list[_Lane]) -> None:
         loop = asyncio.get_running_loop()
         dispatch_start = time.perf_counter()
-        live: list[
-            tuple[np.ndarray, asyncio.Future, float, Trace | None, float | None]
-        ] = []
-        for entry in batch:
-            mask, future, enqueued, trace, deadline = entry
-            if future.done():
+        live: list[_Lane] = []
+        for lane in batch:
+            if lane.future.done():
                 continue  # waiter cancelled (e.g. its wait_for already fired)
-            if deadline is not None and loop.time() >= deadline:
+            if lane.deadline is not None and loop.time() >= lane.deadline:
                 # expired while queued: leave the batch, fail only this lane
                 self._obs_expired.inc()
-                future.set_exception(
+                lane.future.set_exception(
                     DeadlineExceededError(
                         f"request expired in queue (shard {self.shard})"
                     )
                 )
                 continue
-            error = self._mask_error(mask)
+            error = self._mask_error(lane.mask)
             if error is not None:
                 self._obs_isolated.inc()
-                future.set_exception(InvalidParameterError(error))
+                lane.future.set_exception(InvalidParameterError(error))
                 continue
-            if trace is not None:
+            if lane.trace is not None:
                 # queue wait: enqueue to the moment its batch was sealed
-                trace.add_span("queue", enqueued, dispatch_start)
-            live.append(entry)
+                lane.trace.add_span("queue", lane.enqueued, dispatch_start)
+            live.append(lane)
         if not live:
             return
-        masks = [mask for mask, _, _, _, _ in live]
-        traces = [trace for _, _, _, trace, _ in live]
         self._dispatching = len(live)
         try:
             call_start = time.perf_counter()
-            if any(t is not None for t in traces):
-                call = partial(self.executor.measure_masks_batch, masks, traces)
-            else:
-                # traceless shape: keeps bare-bones test doubles with a
-                # (masks)-only signature working
-                call = partial(self.executor.measure_masks_batch, masks)
+            call = partial(
+                self.executor.measure_masks_batch,
+                [lane.mask for lane in live],
+                roots=[lane.root for lane in live],
+                traces=[lane.trace for lane in live],
+            )
             results = await loop.run_in_executor(self._pool, call)
         except Exception as exc:  # surface the failure on every waiter
-            for _, future, _, _, _ in live:
-                if not future.done():
-                    future.set_exception(exc)
+            for lane in live:
+                if not lane.future.done():
+                    lane.future.set_exception(exc)
             return
         finally:
             self._dispatching = 0
         self._obs_launches.inc()
         self._obs_lanes.inc(len(live))
         now = time.perf_counter()
-        for (_, future, enqueued, trace, _), result in zip(live, results):
+        for lane, result in zip(live, results):
             self._obs_completed.inc()
-            self._obs_wait_seconds.observe(now - enqueued)
-            if trace is not None:
+            self._obs_wait_seconds.observe(now - lane.enqueued)
+            if lane.trace is not None:
                 # batch assembly: batch sealed to kernel hand-off
-                trace.add_span("batch", dispatch_start, call_start)
-            if not future.done():  # the waiter may have been cancelled
-                future.set_result(result)
+                lane.trace.add_span("batch", dispatch_start, call_start)
+            if not lane.future.done():  # the waiter may have been cancelled
+                lane.future.set_result(result)
 
     # -- lifecycle / observability ---------------------------------------------
     async def close(self) -> None:
@@ -334,7 +341,7 @@ class MicroBatcher:
         if self._queue is not None:
             while True:
                 try:
-                    _, future, _, _, _ = self._queue.get_nowait()
+                    future = self._queue.get_nowait().future
                 except asyncio.QueueEmpty:
                     break
                 if not future.done():

@@ -8,10 +8,11 @@ routes:
     ``{"topology": "kautz", "d": 2, "n": 8, "faults": [[0,1,...], ...],
     "root": null}`` — the topology-generic fault-free-region query.
     The :class:`~repro.engine.service.EmbeddingService` normalises the
-    request to canonical fault-unit representatives and answers it from its
-    measurement cache when possible; a miss is coalesced by the shard's
-    :class:`~repro.server.batcher.MicroBatcher` into <= 64-lane kernel
-    launches and handed back to the service, which builds the
+    request to canonical fault-unit representatives and a root code and
+    answers it from its measurement cache when possible; a miss is
+    coalesced by the shard's :class:`~repro.server.batcher.MicroBatcher`
+    into <= 64-lane kernel launches (each lane with its own root) and
+    handed back to the service, which builds the
     :class:`~repro.engine.service.MeasureResponse` — the scalar service path
     with the batcher in place of the direct executor call.
 
@@ -50,18 +51,12 @@ routes:
 
 One executor shard — one :class:`MicroBatcher` over one process-wide
 :func:`~repro.engine.executor.cached_executor` — exists per
-``(topology, d, n, root)`` served.  Bounded shard queues shed load as HTTP
-503; malformed requests are 400s, and any other failure is a counted 500
-naming the exception type.  Request bodies are capped and the answer caches
-are LRU, but two known limits remain until the shards collapse to one per
-``(topology, d, n)`` and a node ceiling is checked before any table build:
-
-* each distinct ``root`` creates a shard, a :class:`MicroBatcher` with its
-  own worker thread, and shards are never evicted, so a client naming many
-  roots grows the gateway's threads and memory without bound;
-* nothing caps the graph size: a huge ``n`` (``n=40`` on ``/measure`` or
-  ``/embed``) is stopped only by ``MemoryError`` (a counted 500), and sizes
-  that do fit build multi-gigabyte tables.
+``(topology, d, n)`` served; the root rides per lane, so naming many roots
+adds no shards or threads.  Graphs above
+:data:`~repro.words.codec.MAX_NODES` nodes are refused with a 400 before any
+table is built.  Bounded shard queues shed load as HTTP 503; malformed
+requests are 400s, and any other failure is a counted 500 naming the
+exception type.
 """
 
 from __future__ import annotations
@@ -169,7 +164,8 @@ class BatchingGateway:
             max_cached_answers=self.config.max_cached_answers,
             registry=self.registry,
         )
-        self._batchers: dict[tuple, MicroBatcher] = {}
+        #: one micro-batcher per ``(topology, d, n)`` served, by shard name
+        self._batchers: dict[str, MicroBatcher] = {}
         self._server: asyncio.AbstractServer | None = None
         self._started = time.time()
         self._obs_requests = self.registry.counter(
@@ -202,16 +198,12 @@ class BatchingGateway:
             self._chaos = ChaosInjector(self.config.chaos, registry=self.registry)
 
     # -- shards ----------------------------------------------------------------
-    @staticmethod
-    def _shard_name(key: tuple) -> str:
-        """The display/label name of one shard key: ``kautz(2,8)[@root]``."""
-        return f"{key[0]}({key[1]},{key[2]})" + (f"@{key[3]}" if key[3] else "")
-
     def _shard(self, query: MeasureQuery) -> MicroBatcher:
-        """The (lazily created) micro-batcher of the query's executor shard."""
+        """The (lazily created) micro-batcher of the query's executor shard,
+        named after its graph: ``kautz(2,8)``."""
         topo = query.topology
-        key = (topo.key, topo.d, topo.n, query.root)
-        batcher = self._batchers.get(key)
+        name = f"{topo.key}({topo.d},{topo.n})"
+        batcher = self._batchers.get(name)
         if batcher is None:
             batcher = MicroBatcher(
                 query.executor,
@@ -219,9 +211,9 @@ class BatchingGateway:
                 max_wait_s=self.config.max_wait_ms / 1000.0,
                 max_queue=self.config.queue_limit,
                 registry=self.registry,
-                shard=self._shard_name(key),
+                shard=name,
             )
-            self._batchers[key] = batcher
+            self._batchers[name] = batcher
         return batcher
 
     # -- endpoint implementations ----------------------------------------------
@@ -259,6 +251,7 @@ class BatchingGateway:
             try:
                 measured = await self._shard(query).submit(
                     query.removed_mask(),
+                    query.root_code,
                     trace,
                     deadline_s=deadline_ms / 1000.0 if deadline_ms > 0 else None,
                 )
@@ -333,9 +326,7 @@ class BatchingGateway:
         Every scalar is a view over the gateway's metrics registry; the key
         set is the stable PR 5 ``/stats`` schema and must not change.
         """
-        shards = {
-            self._shard_name(key): b.stats() for key, b in self._batchers.items()
-        }
+        shards = {name: b.stats() for name, b in self._batchers.items()}
         launches = sum(s["launches"] for s in shards.values())
         lanes = sum(s["lanes"] for s in shards.values())
         server = {

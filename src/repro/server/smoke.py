@@ -1,8 +1,9 @@
 """CI smoke driver: ``python -m repro.server.smoke --url http://HOST:PORT``.
 
 Fires ``--requests`` (default 200) concurrent ``/measure`` queries across
-two topologies (De Bruijn and hypercube) at a running gateway and asserts
-the serving contract end to end:
+two topologies (De Bruijn and hypercube) at a running gateway — every third
+one naming an explicit random ``root`` — and asserts the serving contract
+end to end:
 
 * **determinism** — every served answer is field-identical (modulo the
   ``cached``/``elapsed_s`` bookkeeping) to the scalar
@@ -43,7 +44,7 @@ def _comparable(payload: dict) -> dict:
 
 
 def _make_requests(total: int, seed: int) -> list[dict]:
-    """``total`` measure payloads, alternating topologies, seeded faults."""
+    """``total`` measure payloads, alternating topologies, seeded faults and roots."""
     rng = np.random.default_rng(seed)
     requests = []
     for i in range(total):
@@ -53,7 +54,8 @@ def _make_requests(total: int, seed: int) -> list[dict]:
             [int(x) for x in rng.integers(0, spec["d"], size=spec["n"])]
             for _ in range(f)
         ]
-        requests.append({**spec, "faults": faults, "root": None})
+        root = rng.integers(0, spec["d"], size=spec["n"]).tolist() if i % 3 == 2 else None
+        requests.append({**spec, "faults": faults, "root": root})
     return requests
 
 
@@ -66,7 +68,8 @@ async def _run(host: str, port: int, total: int, concurrency: int, seed: int) ->
     expected = [
         _comparable(
             service.measure(
-                p["d"], p["n"], faults=p["faults"], topology=p["topology"]
+                p["d"], p["n"], faults=p["faults"], root=p["root"],
+                topology=p["topology"],
             ).as_dict()
         )
         for p in payloads

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from ..engine.cache import LRUCache
+from ..engine.caches import register_cache
 from ..exceptions import UnknownTopologyError
 from .base import Topology
 from .debruijn import DeBruijnTopology, UndirectedDeBruijnTopology
@@ -39,6 +40,7 @@ _FACTORIES: dict[str, Callable[[int, int], Topology]] = {}
 
 #: Bounded, audited instance cache (see :mod:`repro.engine.caches`).
 _INSTANCE_CACHE = LRUCache(maxsize=8, name="topology.instances")
+register_cache("topology.instances", _INSTANCE_CACHE)
 
 
 def register_topology(key: str, factory: Callable[[int, int], Topology]) -> None:

@@ -242,8 +242,3 @@ def alternating_word(a: int, b: int, n: int) -> Word:
     if n < 1:
         raise InvalidParameterError(f"word length must be >= 1, got {n}")
     return tuple(int(a) if i % 2 == 0 else int(b) for i in range(n))
-
-
-def as_int_iterable(words: Iterable[Sequence[int]], d: int) -> list[int]:
-    """Convert an iterable of tuple-encoded words to their int encodings."""
-    return [word_to_int(w, d) for w in words]

@@ -43,7 +43,19 @@ from ..engine.caches import register_cache
 from ..exceptions import InvalidParameterError
 from .alphabet import Word, int_to_word, validate_alphabet, word_to_int
 
-__all__ = ["WordCodec", "get_codec"]
+__all__ = ["MAX_NODES", "WordCodec", "check_node_count", "get_codec"]
+
+#: Largest node table any backend builds: ``B(4, 10)``, the biggest benchmarked graph.
+MAX_NODES = 1 << 20
+
+
+def check_node_count(base: int, n: int, graph: str) -> None:
+    """Refuse a ``base**n``-entry node table above :data:`MAX_NODES` (``base >= 2``)."""
+    # n past the ceiling's bit length is over it: a huge n builds no huge integer
+    if n >= MAX_NODES.bit_length() or base**n > MAX_NODES:
+        raise InvalidParameterError(
+            f"{graph} needs a {base}**{n}-entry node table; the limit is {MAX_NODES}"
+        )
 
 
 class WordCodec:
@@ -71,6 +83,7 @@ class WordCodec:
         self.d = validate_alphabet(d)
         if n < 1:
             raise InvalidParameterError(f"word length must be >= 1, got {n}")
+        check_node_count(self.d, n, f"B({self.d},{n})")
         self.n = int(n)
         self.size = self.d**self.n
         #: ``d**(n-1)``: the place value of the leading digit.  ``x % high``

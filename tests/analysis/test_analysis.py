@@ -142,11 +142,3 @@ class TestMeasureValidation:
         response = EmbeddingService().measure(3, 4, faults=[(0, 1, 2, 2)])
         assert response.region_size == 3**4 - 4  # one aperiodic necklace removed
         assert response.root_eccentricity >= 4
-
-    def test_executor_rejects_wrong_length_root(self):
-        from repro.engine.executor import KernelExecutor
-
-        with pytest.raises(InvalidParameterError):
-            KernelExecutor(2, 6, root=(1, 0, 1))
-        with pytest.raises(InvalidParameterError):
-            KernelExecutor(2, 6, root=(1,) * 7)

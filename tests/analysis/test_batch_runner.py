@@ -18,8 +18,8 @@ from repro.engine.sweep import trial_seed_sequences
 from repro.graphs.msbfs import pack_fault_lanes
 
 
-def _scalar_results(executor, f, seqs):
-    return [executor.run_trial(f, np.random.default_rng(seq)) for seq in seqs]
+def _scalar_results(executor, f, seqs, root=None):
+    return [executor.run_trial(f, np.random.default_rng(seq), root) for seq in seqs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -53,8 +53,8 @@ class TestRootFallbackRegime:
                 trial_codes = sample_node_fault_codes(
                     2, 4, f, np.random.default_rng(seq)
                 )
-                removed = executor.codec.faulty_necklace_mask(
-                    np.asarray(trial_codes, dtype=executor.codec.dtype)
+                removed = executor.topology.codec.faulty_necklace_mask(
+                    np.asarray(trial_codes, dtype=executor.topology.codec.dtype)
                 )
                 if removed[executor.root_code]:
                     peeled += 1
@@ -68,7 +68,7 @@ class TestRootFallbackRegime:
         necklaces make the tie configurations more varied.
         """
         executor = KernelExecutor(2, 4)
-        codec = executor.codec
+        codec = executor.topology.codec
         fault_sets = [
             [1],            # R's necklace only: candidates 0000 and 0011
             [1, 3],         # also kill {0011, 0110, 1100, 1001}
@@ -81,11 +81,13 @@ class TestRootFallbackRegime:
         # rectangular batch via repetition: duplicated faults remove the same
         # necklaces, so each row's mask is exactly its fault set's mask
         lanes = pack_fault_lanes(codec, codes)
-        results = executor._batched_fallbacks(lanes, list(range(len(fault_sets))))
+        results = executor._batched_fallbacks(
+            lanes, list(range(len(fault_sets))), executor.root_code
+        )
         for t, fs in enumerate(fault_sets):
             removed = codec.faulty_necklace_mask(np.asarray(fs, dtype=codec.dtype))
             assert removed[executor.root_code], "crafted mask must kill the root"
-            assert results[t] == executor.measure_mask(removed), fs
+            assert results[t] == executor.measure_mask_with_root(removed)[:2], fs
 
     def test_all_nodes_removed_yields_zero_zero(self):
         """f = d**n removes every node: every trial reports (0, 0)."""
@@ -106,7 +108,10 @@ class TestRootFallbackRegime:
 
 
 def test_custom_root_batched_equals_scalar():
-    executor = KernelExecutor(2, 5, root=(1, 0, 1, 0, 1))
+    executor = KernelExecutor(2, 5)
+    root = executor.topology.encode((1, 0, 1, 0, 1))
     for f in (0, 2, 16, 31):
         seqs = trial_seed_sequences(9, (f,), 32)[0]
-        assert executor.run_trials_batch(f, seqs) == _scalar_results(executor, f, seqs)
+        assert executor.run_trials_batch(f, seqs, root) == _scalar_results(
+            executor, f, seqs, root
+        )

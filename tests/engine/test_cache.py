@@ -85,3 +85,27 @@ class TestCacheAudit:
         clear_caches()
         for name, info in cache_stats().items():
             assert info["currsize"] == 0, f"cache {name} not cleared"
+
+    def test_every_module_level_lru_cache_is_audited(self):
+        """Each module-global ``LRUCache`` in ``repro`` is in the audit and cleared."""
+        import importlib
+        import pkgutil
+
+        import repro
+
+        found = {}
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith("__main__"):
+                continue  # importing it would run the CLI
+            module = importlib.import_module(info.name)
+            for attr, value in vars(module).items():
+                if isinstance(value, LRUCache):
+                    found[f"{info.name}.{attr}"] = value
+        assert "repro.topology.registry._INSTANCE_CACHE" in found
+        stats = cache_stats()
+        for where, cache in found.items():
+            assert cache.name in stats, f"{where} ({cache.name!r}) is not in cache_stats()"
+            cache.put("audit-probe", object())
+        clear_caches()
+        for where, cache in found.items():
+            assert len(cache) == 0, f"clear_caches() left {where} populated"

@@ -46,6 +46,45 @@ class TestMeasureMasksBatch:
         nothing = np.zeros(executor.topology.num_nodes, dtype=bool)
         assert executor.measure_masks_batch([everything, nothing])[0] == (0, 0, None)
 
+    @pytest.mark.parametrize("topology", sorted(available_topologies()))
+    def test_mixed_root_batch_equals_scalar_per_lane(self, topology):
+        executor = KernelExecutor(2, 6, topology=topology)
+        topo = executor.topology
+        masks = _random_masks(topo, 24, seed=11)
+        rng = np.random.default_rng(5)
+        roots = [int(r) for r in rng.integers(0, topo.num_nodes, size=len(masks))]
+        # lanes whose own root lies in a removed unit take the fallback path
+        for lane in range(0, len(masks), 4):
+            masks[lane] = masks[lane] | topo.fault_unit_mask([roots[lane]])
+        # and lanes with every node removed answer (0, 0, None)
+        masks[1] = np.ones(topo.num_nodes, dtype=bool)
+        masks[6] = np.ones(topo.num_nodes, dtype=bool)
+        batched = executor.measure_masks_batch(masks, roots=roots)
+        assert batched[4][2] not in (None, roots[4])  # measured from a fallback root
+        for mask, root, got in zip(masks, roots, batched):
+            assert got == executor.measure_mask_with_root(mask, root)
+        assert batched[1] == batched[6] == (0, 0, None)
+
+    def test_root_codes_validated(self):
+        executor = KernelExecutor(2, 4)
+        alive = np.zeros(executor.topology.num_nodes, dtype=bool)
+        with pytest.raises(InvalidParameterError):
+            executor.measure_mask_with_root(alive, executor.topology.num_nodes)
+        with pytest.raises(InvalidParameterError):
+            executor.measure_mask_with_root(alive, -1)
+        with pytest.raises(InvalidParameterError):
+            executor.measure_masks_batch([alive], roots=[-1])
+        with pytest.raises(InvalidParameterError):
+            executor.measure_masks_batch([alive, alive], roots=[1])
+
+    def test_intact_distances_are_bounded_per_root(self):
+        executor = KernelExecutor(2, 6)
+        topo = executor.topology
+        for root in range(0, topo.num_nodes, 3):
+            # every root dead: each measurement consults that root's distances
+            executor.measure_mask_with_root(topo.fault_unit_mask([root]), root)
+        assert 0 < len(executor._intact) <= executor._intact.maxsize
+
     def test_batch_size_validated(self):
         executor = KernelExecutor(2, 4)
         with pytest.raises(InvalidParameterError):
@@ -104,23 +143,23 @@ class TestSharing:
     def test_cached_executor_is_shared_across_layers(self):
         from repro.engine.service import EmbeddingService
 
-        executor = cached_executor(2, 6, None, "debruijn")
-        assert cached_executor(2, 6, None, "debruijn") is executor
+        executor = cached_executor(2, 6, "debruijn")
+        assert cached_executor(2, 6, "debruijn") is executor
         query = EmbeddingService().measure_query(2, 6)
         assert query.executor is executor
 
     def test_shared_executor_follows_a_rebuilt_topology(self):
-        executor = cached_executor(2, 6, None, "kautz")
+        executor = cached_executor(2, 6, "kautz")
         # push the backend out of the 8-slot topology LRU, then rebuild it
         for n in range(3, 12):
             get_topology("hypercube", 2, n)
         rebuilt = get_topology("kautz", 2, 6)
         assert rebuilt is not executor.topology
-        assert cached_executor(2, 6, None, "kautz").topology is rebuilt
+        assert cached_executor(2, 6, "kautz").topology is rebuilt
 
     def test_simulate_fault_row_is_a_thin_client(self):
         # the sequential row is run_trial on the shared executor, one rng
-        executor = cached_executor(2, 6, None, "kautz")
+        executor = cached_executor(2, 6, "kautz")
         assert executor.topology is get_topology("kautz", 2, 6)
         rng = np.random.default_rng(0)
         samples = np.array([executor.run_trial(2, rng) for _ in range(5)])
@@ -145,7 +184,7 @@ class TestSharing:
         topo = get_topology("debruijn", 2, 6)
         service = EmbeddingService()
         response = service.measure(2, 6, faults=[(0, 1, 0, 1, 1, 0)])
-        executor = cached_executor(2, 6, None, "debruijn")
+        executor = cached_executor(2, 6, "debruijn")
         removed = topo.fault_unit_mask(
             np.asarray([topo.encode((0, 1, 0, 1, 1, 0))], dtype=np.int64)
         )

@@ -176,7 +176,7 @@ class TestMeasureQueries:
             np.asarray([topo.encode((0, 1, 2, 0, 1, 2))], dtype=np.int64)
         )
         assert (response.region_size, response.root_eccentricity) == (
-            executor.measure_mask(removed)
+            executor.measure_mask_with_root(removed)[:2]
         )
         assert response.topology == "kautz"
 
@@ -205,6 +205,13 @@ class TestMeasureQueries:
         assert response.region_size > 0
         assert response.root is not None
         assert response.root != (0,) * 9 + (1,)
+
+    def test_measure_rejects_wrong_length_root(self):
+        # the service encodes the root once; the executor only sees codes
+        with pytest.raises(InvalidParameterError):
+            EmbeddingService().measure(2, 6, root=(1, 0, 1))
+        with pytest.raises(InvalidParameterError):
+            EmbeddingService().measure(2, 6, root=(1,) * 7)
 
     def test_measure_surviving_root_reported_verbatim(self):
         service = EmbeddingService()

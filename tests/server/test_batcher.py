@@ -10,6 +10,7 @@ import pytest
 from repro.engine.executor import KernelExecutor
 from repro.exceptions import InvalidParameterError
 from repro.server.batcher import MicroBatcher, QueueFullError, latency_percentiles
+from repro.topology import get_topology
 
 
 def _masks(executor, count, seed=0):
@@ -72,10 +73,12 @@ class TestBackpressure:
             """Wraps the real executor; the first launch blocks until released."""
 
             topology_key = executor.topology_key
+            topology = executor.topology
+            root_code = executor.root_code
 
-            def measure_masks_batch(self, masks):
+            def measure_masks_batch(self, masks, roots, traces):
                 release.wait(timeout=10)
-                return executor.measure_masks_batch(masks)
+                return executor.measure_masks_batch(masks, roots, traces)
 
         mask = np.zeros(executor.topology.num_nodes, dtype=bool)
 
@@ -103,10 +106,12 @@ class TestBackpressure:
 
         class SlowExecutor:
             topology_key = executor.topology_key
+            topology = executor.topology
+            root_code = executor.root_code
 
-            def measure_masks_batch(self, masks):
+            def measure_masks_batch(self, masks, roots, traces):
                 release.wait(timeout=10)
-                return executor.measure_masks_batch(masks)
+                return executor.measure_masks_batch(masks, roots, traces)
 
         mask = np.zeros(executor.topology.num_nodes, dtype=bool)
 
@@ -141,8 +146,10 @@ class TestFailurePropagation:
     def test_executor_exception_reaches_every_waiter(self):
         class BrokenExecutor:
             topology_key = "broken"
+            topology = get_topology("debruijn", 2, 2)
+            root_code = 1
 
-            def measure_masks_batch(self, masks):
+            def measure_masks_batch(self, masks, roots, traces):
                 raise RuntimeError("kernel exploded")
 
         mask = np.zeros(4, dtype=bool)

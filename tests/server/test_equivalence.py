@@ -5,8 +5,10 @@ embed/measure requests through the gateway must return byte-identical
 answers (JSON payloads modulo the ``cached``/``elapsed_s`` bookkeeping) to
 running the same queries one at a time through the scalar
 :class:`~repro.engine.service.EmbeddingService` path.  Hypothesis drives
-the fault sets, the duplicate structure, the arrival order and the arrival
-jitter — which together determine how requests pack into kernel lanes,
+the fault sets, each measure request's optional root (default, any node, or
+a node inside a faulty unit, which takes the fallback path), the duplicate
+structure, the arrival order and the arrival jitter — which together
+determine how requests pack into kernel lanes (mixed roots share a batch),
 which requests hit the answer cache, and how batches split.  Every
 topology is served in both gateway modes, single-query (``max_batch=1``,
 one kernel launch per request) and micro-batched (the default 64 lanes),
@@ -50,6 +52,9 @@ def _requests_strategy(topology: str):
     measure = st.fixed_dictionaries({
         "kind": st.just("measure"),
         "fault_codes": st.lists(st.integers(0, measure_nodes - 1), max_size=4),
+        # "faulty" roots the request at its first fault (when it has one)
+        "root_kind": st.sampled_from(["default", "any", "faulty"]),
+        "root_code": st.integers(0, measure_nodes - 1),
     })
     embed = st.fixed_dictionaries({
         "kind": st.just("embed"),
@@ -83,6 +88,16 @@ def test_any_interleaving_matches_sequential_scalar(topology, max_batch, data):
         request["faults"] = [
             list(backend.decode(code)) for code in request["fault_codes"]
         ]
+        if request["kind"] == "measure":
+            codes = request["fault_codes"]
+            root_code = (
+                codes[0] if request["root_kind"] == "faulty" and codes
+                else request["root_code"]
+            )
+            request["root"] = (
+                None if request["root_kind"] == "default"
+                else list(topo.decode(root_code))
+            )
 
     # ground truth: the same queries, one at a time, scalar path, fresh caches
     service = EmbeddingService()
@@ -90,7 +105,8 @@ def test_any_interleaving_matches_sequential_scalar(topology, max_batch, data):
     for request in requests:
         if request["kind"] == "measure":
             expected.append(_canonical(service.measure(
-                _D, _N, faults=request["faults"], topology=topology
+                _D, _N, faults=request["faults"], root=request["root"],
+                topology=topology,
             ).as_dict()))
         else:
             expected.append(_canonical(
@@ -109,7 +125,7 @@ def test_any_interleaving_matches_sequential_scalar(topology, max_batch, data):
             if request["kind"] == "measure":
                 answers[index] = await gateway._measure({
                     "topology": topology, "d": _D, "n": _N,
-                    "faults": request["faults"], "root": None,
+                    "faults": request["faults"], "root": request["root"],
                 })
             else:
                 answers[index] = await gateway._embed({

@@ -55,10 +55,11 @@ class TestDeadlines:
         class SlowExecutor:
             topology_key = executor.topology_key
             topology = executor.topology
+            root_code = executor.root_code
 
-            def measure_masks_batch(self, masks):
+            def measure_masks_batch(self, masks, roots, traces):
                 release.wait(timeout=10)
-                return executor.measure_masks_batch(masks)
+                return executor.measure_masks_batch(masks, roots, traces)
 
         mask = np.zeros(executor.topology.num_nodes, dtype=bool)
 

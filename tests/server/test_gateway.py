@@ -2,8 +2,7 @@
 
 import asyncio
 import json
-
-import pytest
+import threading
 
 from repro.engine.service import EmbeddingService
 from repro.server.client import AsyncServeClient, fire_measure
@@ -275,22 +274,44 @@ class TestStats:
         assert 503 in statuses
 
 
-@pytest.mark.parametrize("include_root", [False, True])
-def test_explicit_root_shards_separately(include_root):
-    payload = {"topology": "debruijn", "d": 2, "n": 5,
-               "faults": [], "root": [1, 0, 1, 0, 1] if include_root else None}
+def test_distinct_roots_share_one_shard():
+    """40 distinct roots on B(2,8): one shard, one batcher thread, one executor.
+
+    The root rides per lane, so it adds no shard, no worker thread and no
+    executor-cache entry; every answer is still the scalar service's answer
+    for that root, including roots inside the faulty necklace (fallback).
+    """
+    from repro.engine import cache_stats
+    from repro.topology import get_topology
+
+    topo = get_topology("debruijn", 2, 8)
+    faults = [[0, 0, 0, 0, 0, 0, 1, 1]]
+    roots = [list(topo.decode(code)) for code in range(0, 160, 4)]
+    assert len(roots) == 40 and [0, 0, 0, 0, 1, 1, 0, 0] in roots  # a dead root
+    payloads = [{"topology": "debruijn", "d": 2, "n": 8, "faults": faults,
+                 "root": root} for root in roots]
+
+    def batcher_threads():
+        return {t.ident for t in threading.enumerate() if t.name.startswith("batcher-")}
 
     async def scenario(gateway, host, port):
-        client = await AsyncServeClient.open(host, port)
-        try:
-            status, answer = await client.request("POST", "/measure", payload)
-            return status, answer, gateway.stats()["shards"]
-        finally:
-            await client.close()
+        before = batcher_threads()
+        misses = cache_stats()["engine.kernel_executors"]["misses"]
+        answers, _ = await fire_measure(host, port, payloads, concurrency=40)
+        new_threads = batcher_threads() - before
+        return answers, gateway.stats()["shards"], new_threads, (
+            cache_stats()["engine.kernel_executors"]["misses"] - misses
+        )
 
-    status, answer, shards = _with_gateway()(scenario)
-    assert status == 200
-    expected_root = [1, 0, 1, 0, 1] if include_root else [0, 0, 0, 0, 1]
-    assert answer["root"] == expected_root
-    name = "debruijn(2,5)" + ("@(1, 0, 1, 0, 1)" if include_root else "")
-    assert name in shards
+    answers, shards, new_threads, executor_misses = _with_gateway()(scenario)
+    assert list(shards) == ["debruijn(2,8)"]
+    assert shards["debruijn(2,8)"]["completed"] == 40
+    assert len(new_threads) <= 1
+    assert executor_misses <= 1
+    service = EmbeddingService()
+    for root, answer in zip(roots, answers):
+        want = service.measure(2, 8, faults=faults, root=root).as_dict()
+        for key in ("cached", "elapsed_s"):
+            del want[key], answer[key]
+        del answer["trace_id"]
+        assert answer == want

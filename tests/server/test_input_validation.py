@@ -13,6 +13,8 @@ import pytest
 from repro.engine import EmbeddingRequest, EmbeddingService
 from repro.exceptions import InvalidParameterError
 from repro.server.gateway import BatchingGateway, GatewayConfig
+from repro.topology import get_topology
+from repro.words.codec import MAX_NODES
 
 
 async def _post(host, port, path, body: bytes):
@@ -175,3 +177,43 @@ class TestNonIntegralNumbers:
         # and the refused fault never entered the session
         response = service.apply_event(2, 3, "heal", (0, 0, 1), seq=1)
         assert response.faults == ()
+
+
+class TestNodeCeiling:
+    """Graphs above ``MAX_NODES`` are 400s before any table is allocated."""
+
+    BODIES = [
+        ("/measure", b'{"d": 2, "n": 40}'),
+        ("/embed", b'{"d": 2, "n": 40}'),
+        ("/churn", b'{"d": 2, "n": 40, "op": "fault", "node": [0]}'),
+        ("/measure", b'{"topology": "kautz", "d": 2, "n": 19}'),
+        ("/measure", b'{"topology": "hypercube", "d": 2, "n": 21}'),
+        ("/measure", b'{"d": 3, "n": 1000000000}'),
+    ]
+
+    def test_each_is_a_counted_400(self):
+        results = _serve(self.BODIES)
+        for errors, (line, data, counted) in enumerate(results, start=1):
+            assert line == "HTTP/1.1 400 Bad Request", data
+            assert "node table" in data["error"]
+            assert counted == errors
+
+    @pytest.mark.parametrize(
+        "topology, d, n",
+        [
+            ("debruijn", 2, 21),
+            ("undirected_debruijn", 4, 11),
+            ("shuffle_exchange", 2, 21),
+            ("hypercube", 2, 21),
+            # 786k nodes, but its dense (d+1)**n coding lookup is 3**19 entries
+            ("kautz", 2, 19),
+        ],
+    )
+    def test_backends_refuse_before_building(self, topology, d, n):
+        with pytest.raises(InvalidParameterError, match="node table"):
+            get_topology(topology, d, n)
+
+    def test_the_ceiling_admits_the_largest_benchmarked_graphs(self):
+        assert get_topology("debruijn", 4, 10).num_nodes == MAX_NODES
+        assert get_topology("hypercube", 2, 20).num_nodes == MAX_NODES
+        assert get_topology("kautz", 3, 10).num_nodes < MAX_NODES

@@ -24,6 +24,7 @@ from repro.analysis.fault_simulation import simulate_fault_table
 from repro.engine import EmbeddingService, ParallelSweepEngine
 from repro.engine.executor import KernelExecutor
 from repro.exceptions import CheckpointMismatchError
+from repro.graphs.msbfs import pack_mask_lanes
 from repro.topology import get_topology
 
 SWEPT = ("debruijn", "kautz", "hypercube", "shuffle_exchange", "undirected_debruijn")
@@ -88,8 +89,8 @@ class TestExecutorAgainstNetworkx:
             g.remove_nodes_from(
                 [topo.decode(int(c)) for c in np.flatnonzero(removed)]
             )
-            expected = self._reference_measure(g, executor.root)
-            assert executor.measure_mask(removed) == expected
+            expected = self._reference_measure(g, topo.decode(executor.root_code))
+            assert executor.measure_mask_with_root(removed)[:2] == expected
 
     def test_hypercube_measure_matches_networkx(self):
         from repro.graphs.hypercube import HypercubeGraph
@@ -104,7 +105,7 @@ class TestExecutorAgainstNetworkx:
             g = HypercubeGraph(4).to_networkx()
             g.remove_nodes_from(np.flatnonzero(removed).tolist())
             expected = self._reference_measure(g, executor.root_code)
-            assert executor.measure_mask(removed) == expected
+            assert executor.measure_mask_with_root(removed)[:2] == expected
 
     def test_shuffle_exchange_measure_matches_networkx(self):
         from repro.graphs.shuffle_exchange import ShuffleExchangeGraph
@@ -123,7 +124,7 @@ class TestExecutorAgainstNetworkx:
             if root_word not in g:
                 continue
             expected = self._reference_measure(g, root_word)
-            assert executor.measure_mask(removed) == expected
+            assert executor.measure_mask_with_root(removed)[:2] == expected
 
     def test_explicit_fault_words(self):
         # service.measure() accepts tuple words on every word-coded backend
@@ -140,15 +141,18 @@ class TestRootFallback:
         executor = KernelExecutor(2, 6, topology=topology)
         topo = executor.topology
         removed = topo.fault_unit_mask([executor.root_code])
-        size, ecc = executor.measure_mask(removed)
+        size, ecc = executor.measure_mask_with_root(removed)[:2]
         assert size > 0  # fell back to a neighbouring root
-        # batched path agrees bit-for-bit (the dead-root trial is peeled)
-        assert executor._fallback_stats(removed) == (size, ecc)
+        # the lane-packed candidate race agrees bit-for-bit
+        lanes = pack_mask_lanes([removed], topo.num_nodes)
+        assert executor._batched_fallbacks(lanes, [0], executor.root_code) == {
+            0: (size, ecc)
+        }
 
     def test_all_nodes_removed_yields_zero(self):
         executor = KernelExecutor(2, 3, topology="shuffle_exchange")
         removed = np.ones(executor.topology.num_nodes, dtype=bool)
-        assert executor.measure_mask(removed) == (0, 0)
+        assert executor.measure_mask_with_root(removed)[:2] == (0, 0)
 
 
 class TestTopologyCheckpoints:
