@@ -118,9 +118,10 @@ class KernelExecutor:
     #: Tail chunks narrower than this run per-trial instead of through the
     #: kernel: a bit-parallel sweep costs roughly one full-graph BFS however
     #: few lanes it carries, so it only pays for itself once several trials
-    #: share it (measured crossover ~4 trials on B(4, 10); results are
-    #: identical either way, so this is purely a wall-clock heuristic).
-    MIN_KERNEL_BATCH = 8
+    #: share it.  Measured crossover: 2 trials on B(4, 10) (one lane costs
+    #: 1.2x a scalar trial, two lanes 0.6x) and 1 on B(2, 16) (0.9x); results
+    #: are identical either way, so this is purely a wall-clock heuristic.
+    MIN_KERNEL_BATCH = 2
 
     def __init__(
         self,

@@ -8,25 +8,41 @@ bit ``t`` says "node is on trial ``t``'s frontier", so a single vectorized
 BFS step advances up to :data:`WORD_WIDTH` trials at once.
 
 The kernel is topology-generic: it consumes any *source* exposing ``size``
-(node count) and ``predecessor_columns`` (contiguous in-neighbour gather
-columns) — the De Bruijn :class:`~repro.words.codec.WordCodec` and every
+(node count), ``predecessor_columns`` (contiguous in-neighbour gather
+columns) and ``successor_table`` (out-neighbour rows) — the De Bruijn
+:class:`~repro.words.codec.WordCodec` and every
 :class:`~repro.topology.base.Topology` backend alike.  Columns may pad
 irregular in-degrees with the node's own code; a self-gather only re-reads a
-visited lane and is masked off by ``avail``.
+visited lane and is masked off by ``avail``.  The sparse level relies on the
+two tables agreeing: every non-self entry ``x = P[y, a]`` has ``y`` in
+``successor_table[x]``.
 
-The step itself is a pure gather.  A node ``y`` with in-neighbour columns
-``P[y, a]`` gets the out-direction frontier update
+Each level computes, for every node ``y`` with in-neighbour columns
+``P[y, a]``, the out-direction frontier update
 
 ``next[y] = (frontier[P[y, 0]] | ... | frontier[P[y, k-1]]) & alive[y] & ~visited[y]``
 
-— ``k`` full-array gathers and a few bitwise ops per level, with no scatter
-and no per-trial work.  Per-trial results are recovered cheaply:
+in one of two forms that produce the same words:
+
+* *dense*: ``k`` full-array gathers and a few bitwise ops, with no scatter
+  and no per-trial work — the right form while the frontier spans the graph;
+* *sparse*: while the union frontier of ``active`` nodes is small
+  (``active * degree <= size // 16``), the formula is evaluated only on the
+  candidates ``unique(successor_table[active])`` — the only nodes where it
+  can be nonzero — and only those entries of ``frontier``/``avail`` are
+  written.  A BFS starts sparse (a few roots) and, after each dense level,
+  goes back to sparse once ``count_nonzero(frontier)`` is small again (the
+  long thin tails of faulty graphs).  Expanding small frontiers from the
+  frontier side is the idea of Beamer, Asanović & Patterson's
+  direction-optimizing BFS (SC 2012).
+
+Per-trial results are recovered cheaply:
 
 * *eccentricity*: an OR-reduction of the newly-reached lanes yields one
   ``uint64`` whose set bits are the trials that gained nodes this level, so
   each trial's eccentricity is the last level its bit was set;
-* *component size*: one transposed popcount of the final ``visited`` lanes
-  (``np.unpackbits``) counts each trial's reached nodes.
+* *component size*: one per-lane popcount of the final ``visited`` lanes
+  (:func:`lane_popcounts`) counts each trial's reached nodes.
 
 For the De Bruijn graph whole-necklace removal keeps the residual digraph
 balanced (see :mod:`repro.graphs.components`), so the out-reachable set from
@@ -65,6 +81,11 @@ WORD_WIDTH = 64
 
 _ONE = np.uint64(1)
 _BITS = _ONE << np.arange(WORD_WIDTH, dtype=np.uint64)
+#: ``_BYTE_BITS[v, b]`` is bit ``b`` of byte value ``v``: a byte column's
+#: 256-bin histogram times this table gives its eight per-bit counts.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+#: A level runs sparse while ``active * degree <= size // _SPARSE_DIVISOR``.
+_SPARSE_DIVISOR = 16
 
 
 class BatchStats:
@@ -121,9 +142,10 @@ class KernelSource(Protocol):
 
     Satisfied by :class:`~repro.words.codec.WordCodec` and every
     :class:`~repro.topology.base.Topology` backend; the kernels read only
-    the node count and the contiguous predecessor gather columns (plus, for
-    fault packing, an optional ``fault_unit_members`` closure probed with
-    ``getattr``).
+    the node count, the contiguous predecessor gather columns (dense
+    levels) and the ``(size, degree)`` successor table (sparse levels'
+    candidates), plus, for fault packing, an optional
+    ``fault_unit_members`` closure probed with ``getattr``.
     """
 
     @property
@@ -131,6 +153,9 @@ class KernelSource(Protocol):
 
     @property
     def predecessor_columns(self) -> tuple[np.ndarray, ...]: ...
+
+    @property
+    def successor_table(self) -> np.ndarray: ...
 
 
 def pack_fault_lanes(source: KernelSource, fault_codes: np.ndarray | Sequence) -> np.ndarray:
@@ -200,13 +225,28 @@ def lane_removed_mask(lanes: np.ndarray, trial: int) -> np.ndarray:
 def lane_popcounts(lanes: np.ndarray, batch: int) -> np.ndarray:
     """Per-trial popcount over nodes: ``out[t] = #{x : bit t of lanes[x]}``.
 
-    One transposed popcount via ``np.unpackbits`` on the little-endian byte
-    view — ``O(64 * d**n)`` byte ops once per batch, instead of 64 masked
-    passes over the lane array.
+    Lane ``t`` lives in byte ``t // 8`` of the little-endian words, so only
+    the ``ceil(batch / 8)`` byte columns holding lanes are read: each costs
+    one 256-bin ``np.bincount`` over the nodes and a ``256 x 8`` bit-table
+    product.  Bits at or above ``batch`` do not leak into the counts.
     """
-    le = lanes.astype("<u8", copy=False)
-    bits = np.unpackbits(le.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    return bits.sum(axis=0, dtype=np.int64)[:batch]
+    used = (batch + 7) // 8
+    columns = lanes.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    counts = np.empty(8 * used, dtype=np.int64)
+    for j in range(used):
+        counts[8 * j : 8 * j + 8] = np.bincount(columns[:, j], minlength=256) @ _BYTE_BITS
+    return counts[:batch]
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``codes``: ``np.unique`` without its
+    first-call import of ``numpy.ma``, which a cold server would pay on its
+    first answer."""
+    flat = np.sort(codes, axis=None)
+    keep = np.empty(flat.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
 
 
 def batched_root_stats(
@@ -218,8 +258,9 @@ def batched_root_stats(
 ) -> BatchStats:
     """Run one bit-parallel out-BFS across all packed trials.
 
-    ``source`` supplies the graph structure: any object with ``size`` and
-    ``predecessor_columns`` — a :class:`~repro.words.codec.WordCodec` or a
+    ``source`` supplies the graph structure: any object with ``size``,
+    ``predecessor_columns`` and ``successor_table`` — a
+    :class:`~repro.words.codec.WordCodec` or a
     :class:`~repro.topology.base.Topology` backend.  ``root`` is either one
     shared root code (the fault-sweep case: every trial measures from the
     paper's ``R``) or a ``(batch,)`` array giving lane ``t`` its own root
@@ -266,7 +307,8 @@ def batched_root_stats(
     else:
         frontier, nxt, scratch = workspace.frontier, workspace.nxt, workspace.scratch
         frontier.fill(0)
-    np.bitwise_or.at(frontier, roots[~dead_mask], trial_bits[~dead_mask])
+    live_roots = roots[~dead_mask]
+    np.bitwise_or.at(frontier, live_roots, trial_bits[~dead_mask])
     # `avail[x]` holds the lanes in which x is alive and not yet visited —
     # one AND per step instead of `& alive & ~visited`, and since every
     # newly-reached lane set is a subset of `avail`, marking it visited is a
@@ -275,19 +317,45 @@ def batched_root_stats(
     alive = ~removed_lanes
     avail = alive ^ frontier  # root lanes start visited
     pred_cols = source.predecessor_columns
+    succ = source.successor_table
+    sparse_limit = size // _SPARSE_DIVISOR
+    degree = succ.shape[1]
+    # the nodes with a nonzero frontier word while levels run sparse; None
+    # while they run dense
+    active: np.ndarray | None = _distinct(live_roots)
     gains: list[np.uint64] = []  # per-level OR of the newly-reached lanes
     while True:
-        np.take(frontier, pred_cols[0], out=nxt)
-        for col in pred_cols[1:]:
-            np.take(frontier, col, out=scratch)
-            np.bitwise_or(nxt, scratch, out=nxt)
-        np.bitwise_and(nxt, avail, out=nxt)
-        gained = np.bitwise_or.reduce(nxt)
-        if not int(gained):
-            break
-        np.bitwise_xor(avail, nxt, out=avail)
+        if active is not None and active.size * degree > sparse_limit:
+            active = None
+        if active is not None:
+            cand = _distinct(succ[active])
+            new = frontier[pred_cols[0][cand]]
+            for col in pred_cols[1:]:
+                new |= frontier[col[cand]]
+            new &= avail[cand]
+            gained = np.bitwise_or.reduce(new)
+            if not int(gained):
+                break
+            frontier[active] = 0
+            frontier[cand] = new
+            avail[cand] ^= new
+            active = cand[new != 0]
+        else:
+            # mode="clip": the columns hold valid codes, and the default
+            # mode="raise" buffers `out` (several times slower)
+            np.take(frontier, pred_cols[0], out=nxt, mode="clip")
+            for col in pred_cols[1:]:
+                np.take(frontier, col, out=scratch, mode="clip")
+                np.bitwise_or(nxt, scratch, out=nxt)
+            np.bitwise_and(nxt, avail, out=nxt)
+            gained = np.bitwise_or.reduce(nxt)
+            if not int(gained):
+                break
+            np.bitwise_xor(avail, nxt, out=avail)
+            frontier, nxt = nxt, frontier  # ping-pong: old frontier becomes scratch
+            if np.count_nonzero(frontier) * degree <= sparse_limit:
+                active = np.flatnonzero(frontier)
         gains.append(gained)
-        frontier, nxt = nxt, frontier  # ping-pong: old frontier becomes scratch
     if gains:
         # eccentricity of lane t = deepest level whose gained-word set bit t
         # (levels are 1-based; lanes never gaining stay at 0)

@@ -53,10 +53,11 @@ One executor shard — one :class:`MicroBatcher` over one process-wide
 :func:`~repro.engine.executor.cached_executor` — exists per
 ``(topology, d, n)`` served; the root rides per lane, so naming many roots
 adds no shards or threads.  Graphs above
-:data:`~repro.words.codec.MAX_NODES` nodes are refused with a 400 before any
-table is built.  Bounded shard queues shed load as HTTP 503; malformed
-requests are 400s, and any other failure is a counted 500 naming the
-exception type.
+:data:`~repro.words.codec.MAX_NODES` nodes or
+:data:`~repro.words.codec.MAX_TABLE_ENTRIES` gather-table entries are
+refused with a 400 before any table is built.  Bounded shard queues shed
+load as HTTP 503; malformed requests are 400s, and any other failure is a
+counted 500 naming the exception type.
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ Conventions shared by every backend
   with the node's own code: a self-entry gathers an already-visited node and
   is therefore inert under BFS.  ``predecessor_columns`` exposes the
   predecessor table as contiguous per-digit columns — the exact form the
-  bit-parallel kernel gathers through (``Topology`` deliberately duck-types
-  with :class:`~repro.words.codec.WordCodec` here: both expose ``size`` and
-  ``predecessor_columns``).
+  bit-parallel kernel's dense levels gather through; its sparse levels
+  expand ``successor_table`` rows (``Topology`` deliberately duck-types
+  with :class:`~repro.words.codec.WordCodec` here: both expose ``size``,
+  ``predecessor_columns`` and ``successor_table``).
 * **Fault units.**  ``fault_unit_mask(codes)`` maps faulty processors to the
   removed node set: necklace orbits for the De Bruijn family (the paper's
   "a necklace is deemed faulty if it contains a faulty node"), single nodes

@@ -23,7 +23,7 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from ..graphs.hypercube import fault_free_cycle_bound
 from ..words.alphabet import Word
-from ..words.codec import check_node_count
+from ..words.codec import check_graph_size
 from .base import Topology
 
 __all__ = ["HypercubeTopology"]
@@ -54,7 +54,7 @@ class HypercubeTopology(Topology):
             )
         if n < 1:
             raise InvalidParameterError(f"hypercube dimension must be >= 1, got {n}")
-        check_node_count(2, n, f"Q({n})")
+        check_graph_size(2, n, n, f"Q({n})")
         self.d = 2
         self.n = int(n)
         self.num_nodes = 2**self.n

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..words.alphabet import Word, validate_alphabet
-from ..words.codec import check_node_count
+from ..words.codec import check_graph_size
 from .base import Topology
 
 __all__ = ["KautzTopology"]
@@ -50,7 +50,8 @@ class KautzTopology(Topology):
             raise InvalidParameterError("Kautz graphs require degree d >= 1")
         if n < 1:
             raise InvalidParameterError(f"word length must be >= 1, got {n}")
-        check_node_count(self.d + 1, n, f"K({self.d},{n})")  # dense (d+1)**n lookup
+        # rows: the dense (d+1)**n lookup; width: neighbour_table, d out + d in
+        check_graph_size(self.d + 1, n, 2 * self.d, f"K({self.d},{n})")
         self.n = int(n)
         self.q = self.d + 1  # alphabet size
         self.num_nodes = self.q * self.d ** (self.n - 1)

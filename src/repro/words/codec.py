@@ -23,7 +23,8 @@ single array lookups:
 De Bruijn successor/predecessor moves need no table at all — they are the
 arithmetic ``(x*d + a) mod d**n`` and ``x // d + a * d**(n-1)`` — but the
 codec also caches the ``(d**n, d)`` successor/predecessor matrices used by
-the vectorized BFS sweeps in :mod:`repro.graphs.components`.
+the vectorized BFS sweeps in :mod:`repro.graphs.components` and
+:mod:`repro.graphs.msbfs`.
 
 Tuples remain the public boundary type everywhere; :meth:`WordCodec.encode`
 and :meth:`WordCodec.decode` convert at the edges.  Codecs are cached by
@@ -43,18 +44,28 @@ from ..engine.caches import register_cache
 from ..exceptions import InvalidParameterError
 from .alphabet import Word, int_to_word, validate_alphabet, word_to_int
 
-__all__ = ["MAX_NODES", "WordCodec", "check_node_count", "get_codec"]
+__all__ = ["MAX_NODES", "MAX_TABLE_ENTRIES", "WordCodec", "check_graph_size", "get_codec"]
 
 #: Largest node table any backend builds: ``B(4, 10)``, the biggest benchmarked graph.
 MAX_NODES = 1 << 20
+#: Largest gather table any backend builds, rows times columns: ``Q(20)``'s
+#: 20 columns fit, ``B(1024, 2)``'s ``2**20 x 2048`` neighbour table does not.
+MAX_TABLE_ENTRIES = 1 << 25
 
 
-def check_node_count(base: int, n: int, graph: str) -> None:
-    """Refuse a ``base**n``-entry node table above :data:`MAX_NODES` (``base >= 2``)."""
+def check_graph_size(base: int, n: int, width: int, graph: str) -> None:
+    """Refuse a ``base**n``-row node table above :data:`MAX_NODES`, or one
+    whose ``width`` columns (the backend's widest gather table) exceed
+    :data:`MAX_TABLE_ENTRIES` entries (``base >= 2``)."""
     # n past the ceiling's bit length is over it: a huge n builds no huge integer
     if n >= MAX_NODES.bit_length() or base**n > MAX_NODES:
         raise InvalidParameterError(
             f"{graph} needs a {base}**{n}-entry node table; the limit is {MAX_NODES}"
+        )
+    if base**n * width > MAX_TABLE_ENTRIES:
+        raise InvalidParameterError(
+            f"{graph} needs a {base**n}-by-{width} node table; "
+            f"the limit is {MAX_TABLE_ENTRIES} entries"
         )
 
 
@@ -83,7 +94,8 @@ class WordCodec:
         self.d = validate_alphabet(d)
         if n < 1:
             raise InvalidParameterError(f"word length must be >= 1, got {n}")
-        check_node_count(self.d, n, f"B({self.d},{n})")
+        # the widest table is neighbour_table: d successors + d predecessors
+        check_graph_size(self.d, n, 2 * self.d, f"B({self.d},{n})")
         self.n = int(n)
         self.size = self.d**self.n
         #: ``d**(n-1)``: the place value of the leading digit.  ``x % high``

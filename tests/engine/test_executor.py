@@ -127,16 +127,18 @@ class TestMeasureChunk:
         assert scalar == batched
 
     def test_narrow_remnant_takes_scalar_path_with_identical_results(self):
-        # 20 trials at batch=64: the whole chunk is narrower than the batch
-        # but wider than MIN_KERNEL_BATCH, so it runs through the kernel;
-        # 3 trials is below the heuristic floor and runs per-trial — either
-        # way the results match the pure scalar dispatch
+        # a chunk narrower than the batch but at least MIN_KERNEL_BATCH wide
+        # runs through the kernel; a narrower one is below the heuristic
+        # floor and runs per-trial — either way the results match the pure
+        # scalar dispatch
         executor = KernelExecutor(2, 6)
-        seqs = [np.random.SeedSequence(1, spawn_key=(2, t)) for t in range(3)]
-        items = list(enumerate(seqs))
-        assert executor.measure_chunk(2, items, batch=64) == executor.measure_chunk(
-            2, items, batch=1
-        )
+        floor = KernelExecutor.MIN_KERNEL_BATCH
+        for width in (floor - 1, floor, 20):
+            seqs = [np.random.SeedSequence(1, spawn_key=(2, t)) for t in range(width)]
+            items = list(enumerate(seqs))
+            assert executor.measure_chunk(2, items, batch=64) == executor.measure_chunk(
+                2, items, batch=1
+            )
 
 
 class TestSharing:

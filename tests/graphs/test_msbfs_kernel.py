@@ -10,15 +10,21 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.graphs.components import ResidualGraph, bfs_levels
+from repro.graphs.components import ResidualGraph, bfs_levels, bfs_levels_table
 from repro.graphs.msbfs import (
+    _SPARSE_DIVISOR,
     WORD_WIDTH,
+    BatchWorkspace,
     batched_root_stats,
     lane_popcounts,
     lane_removed_mask,
     pack_fault_lanes,
 )
+from repro.topology import available_topologies, get_topology
 from repro.words.codec import get_codec
+
+#: Ragged and full lane widths: one byte, byte edges, one short of a word.
+WIDTHS = (1, 7, 8, 9, 63, 64)
 
 
 def _scalar_stats(d, n, removed, root):
@@ -57,13 +63,25 @@ class TestPackFaultLanes:
 
 
 class TestLanePopcounts:
-    def test_counts_match_manual_bits(self):
+    @pytest.mark.parametrize("batch", WIDTHS)
+    def test_counts_match_manual_bits(self, batch):
         rng = np.random.default_rng(3)
-        lanes = rng.integers(0, 2**63, size=40).astype(np.uint64)
-        counts = lane_popcounts(lanes, 64)
-        for t in range(64):
+        # every bit random, so lanes at and above `batch` are set too
+        lanes = rng.integers(0, 2**64, size=300, dtype=np.uint64)
+        lanes[:40] = ~np.uint64(0)  # skewed bytes: one histogram bin
+        counts = lane_popcounts(lanes, batch)
+        assert counts.shape == (batch,)
+        for t in range(batch):
             expected = int(((lanes >> np.uint64(t)) & np.uint64(1)).sum())
             assert counts[t] == expected
+
+    @pytest.mark.parametrize("batch", WIDTHS)
+    def test_bits_above_batch_do_not_leak(self, batch):
+        above = ~np.uint64(0) << np.uint64(batch) if batch < 64 else np.uint64(0)
+        lanes = np.full(50, above, dtype=np.uint64)
+        lanes[:3] |= np.uint64(1)  # lane 0 set on three nodes
+        counts = lane_popcounts(lanes, batch)
+        assert counts[0] == 3 and not counts[1:].any()
 
 
 class TestBatchedRootStats:
@@ -128,3 +146,141 @@ class TestBatchedRootStats:
             batched_root_stats(codec, np.zeros(4, dtype=np.uint64), 1, 2)
         with pytest.raises(InvalidParameterError):
             batched_root_stats(codec, lanes.astype(np.int64), 1, 2)
+
+
+# -- every backend, both level kinds -------------------------------------------
+
+#: One graph per registry backend, each large enough that BFS runs sparse
+#: levels (small frontiers) as well as dense ones.
+BACKENDS = [
+    ("debruijn", 2, 10),
+    ("debruijn", 4, 5),
+    ("kautz", 2, 9),
+    ("hypercube", 2, 10),
+    ("shuffle_exchange", 2, 9),
+    ("undirected_debruijn", 2, 9),
+]
+CASES = ("shared_root", "per_lane_roots", "dead_roots", "heavy_faults")
+
+
+def test_backends_cover_the_registry():
+    assert {key for key, _, _ in BACKENDS} == set(available_topologies())
+
+
+def _dense_reference(source, lanes, root, batch):
+    """The kernel with every level dense (the pure full-graph gather).
+
+    Returns ``(sizes, eccs, root_dead, levels, kinds)``; ``kinds`` spells
+    the level kind the kernel's switch rule picks before each expansion it
+    attempts, ``"s"`` sparse or ``"D"`` dense.
+    """
+    size = source.size
+    roots = np.broadcast_to(np.asarray(root, dtype=np.int64), (batch,))
+    bits = np.uint64(1) << np.arange(batch, dtype=np.uint64)
+    dead = (lanes[roots] & bits) != 0
+    root_dead = int(np.bitwise_or.reduce(bits[dead])) if dead.any() else 0
+    frontier = np.zeros(size, dtype=np.uint64)
+    np.bitwise_or.at(frontier, roots[~dead], bits[~dead])
+    visited = frontier.copy()
+    alive = ~lanes
+    degree = source.successor_table.shape[1]
+    gains, kinds = [], ""
+    while frontier.any():
+        sparse = np.count_nonzero(frontier) * degree <= size // _SPARSE_DIVISOR
+        kinds += "s" if sparse else "D"
+        nxt = np.zeros(size, dtype=np.uint64)
+        for col in source.predecessor_columns:
+            nxt |= frontier[col]
+        nxt &= alive & ~visited
+        if not nxt.any():
+            break
+        visited |= nxt
+        gains.append(int(np.bitwise_or.reduce(nxt)))
+        frontier = nxt
+    eccs = [
+        max((i + 1 for i, g in enumerate(gains) if g >> t & 1), default=0)
+        for t in range(batch)
+    ]
+    sizes = [int(((visited >> np.uint64(t)) & np.uint64(1)).sum()) for t in range(batch)]
+    return sizes, eccs, root_dead, len(gains), kinds
+
+
+def _case(topology, case, batch, seed):
+    """``(lanes, root)`` for one kernel-equivalence case."""
+    rng = np.random.default_rng(seed)
+    size = topology.num_nodes
+    f = size // 20 if case == "heavy_faults" else 3
+    codes = rng.integers(0, size, size=(batch, f))
+    root = topology.default_root_code
+    if case == "per_lane_roots":
+        root = rng.integers(0, size, size=batch)
+    elif case == "dead_roots":
+        codes[::2, 0] = root  # every other lane removes its own root
+    return pack_fault_lanes(topology, codes), root
+
+
+@pytest.mark.parametrize("key,d,n", BACKENDS)
+class TestEveryBackend:
+    @pytest.mark.parametrize("batch", WIDTHS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_scalar_bfs_and_dense_reference(self, key, d, n, case, batch):
+        topology = get_topology(key, d, n)
+        lanes, root = _case(topology, case, batch, seed=batch)
+        stats = batched_root_stats(
+            topology, lanes, root, batch, workspace=BatchWorkspace(topology.num_nodes)
+        )
+        sizes, eccs, root_dead, levels, _ = _dense_reference(topology, lanes, root, batch)
+        assert (stats.root_dead, stats.levels) == (root_dead, levels)
+        assert stats.sizes.tolist() == sizes and stats.eccs.tolist() == eccs
+        roots = np.broadcast_to(root, (batch,))
+        for t in range(batch):
+            removed = lane_removed_mask(lanes, t)
+            if removed[roots[t]]:
+                assert (stats.root_dead >> t) & 1
+                continue
+            dist = bfs_levels_table(topology.successor_table, removed, int(roots[t]))
+            assert (int(stats.sizes[t]), int(stats.eccs[t])) == (
+                int((dist >= 0).sum()),
+                int(dist.max()),
+            )
+        if case == "dead_roots":
+            assert stats.root_dead & 1  # lane 0 always removes its root
+
+    def test_cases_run_both_level_kinds(self, key, d, n):
+        topology = get_topology(key, d, n)
+        kinds = {
+            case: [
+                _dense_reference(topology, *_case(topology, case, batch, batch), batch)[4]
+                for batch in WIDTHS
+            ]
+            for case in CASES
+        }
+        for case in CASES:
+            assert any("s" in k and "D" in k for k in kinds[case]), case
+        # heavy faults grow thin tails: the frontier shrinks back to sparse
+        assert any("Ds" in k for k in kinds["heavy_faults"])
+
+    def test_sparse_levels_expand_through_the_successor_table(self, key, d, n):
+        # a source whose successor rows list only the node itself leaves the
+        # sparse level no candidate to reach: a kernel that took its first
+        # level dense would still measure the whole graph
+        topology = get_topology(key, d, n)
+
+        class SelfLoops:
+            size = topology.num_nodes
+            predecessor_columns = topology.predecessor_columns
+            successor_table = np.arange(topology.num_nodes)[:, None]
+
+        lanes = np.zeros(topology.num_nodes, dtype=np.uint64)
+        stats = batched_root_stats(SelfLoops(), lanes, topology.default_root_code, 1)
+        assert (stats.levels, int(stats.sizes[0])) == (0, 1)
+
+    def test_predecessors_are_listed_as_successors(self, key, d, n):
+        # the sparse level's candidates unique(successor_table[active]) must
+        # contain every node a dense gather could reach from the frontier
+        topology = get_topology(key, d, n)
+        succ = topology.successor_table
+        nodes = np.arange(topology.num_nodes)
+        for col in topology.predecessor_columns:
+            real = col != nodes
+            assert (succ[col[real]] == nodes[real, None]).any(axis=1).all()

@@ -7,6 +7,7 @@ gateway exactly as a client could send them.
 
 import asyncio
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.engine import EmbeddingRequest, EmbeddingService
 from repro.exceptions import InvalidParameterError
 from repro.server.gateway import BatchingGateway, GatewayConfig
 from repro.topology import get_topology
-from repro.words.codec import MAX_NODES
+from repro.words.codec import MAX_NODES, MAX_TABLE_ENTRIES
 
 
 async def _post(host, port, path, body: bytes):
@@ -180,7 +181,8 @@ class TestNonIntegralNumbers:
 
 
 class TestNodeCeiling:
-    """Graphs above ``MAX_NODES`` are 400s before any table is allocated."""
+    """Graphs above ``MAX_NODES`` nodes or ``MAX_TABLE_ENTRIES`` gather-table
+    entries are 400s before any table is allocated."""
 
     BODIES = [
         ("/measure", b'{"d": 2, "n": 40}'),
@@ -189,6 +191,10 @@ class TestNodeCeiling:
         ("/measure", b'{"topology": "kautz", "d": 2, "n": 19}'),
         ("/measure", b'{"topology": "hypercube", "d": 2, "n": 21}'),
         ("/measure", b'{"d": 3, "n": 1000000000}'),
+        # 2**20 nodes (admitted) but a 2**20 x 2048 gather table
+        ("/measure", b'{"d": 1024, "n": 2}'),
+        ("/embed", b'{"d": 1024, "n": 2}'),
+        ("/churn", b'{"d": 1024, "n": 2, "op": "fault", "node": [0, 1]}'),
     ]
 
     def test_each_is_a_counted_400(self):
@@ -207,13 +213,26 @@ class TestNodeCeiling:
             ("hypercube", 2, 21),
             # 786k nodes, but its dense (d+1)**n coding lookup is 3**19 entries
             ("kautz", 2, 19),
+            # few enough nodes, too many gather-table columns
+            ("debruijn", 1024, 2),
+            ("undirected_debruijn", 1024, 2),
+            ("shuffle_exchange", 1024, 2),
+            ("kautz", 1023, 2),
         ],
     )
     def test_backends_refuse_before_building(self, topology, d, n):
-        with pytest.raises(InvalidParameterError, match="node table"):
-            get_topology(topology, d, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="node table"):
+                get_topology(topology, d, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # no node-sized table was built first
 
     def test_the_ceiling_admits_the_largest_benchmarked_graphs(self):
         assert get_topology("debruijn", 4, 10).num_nodes == MAX_NODES
         assert get_topology("hypercube", 2, 20).num_nodes == MAX_NODES
         assert get_topology("kautz", 3, 10).num_nodes < MAX_NODES
+        # Q(20)'s 20 columns are its widest table
+        assert get_topology("hypercube", 2, 20).num_nodes * 20 <= MAX_TABLE_ENTRIES
