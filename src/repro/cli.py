@@ -191,9 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64,
                        help="fault masks coalesced per kernel launch, 1..64 "
                        "(1 = single-query serving)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="longest a request waits for lane-mates before "
-                       "its batch launches (default 2 ms)")
     serve.add_argument("--queue-limit", type=int, default=1024,
                        help="pending requests per shard before 503 "
                        "backpressure kicks in")
@@ -484,7 +481,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
         max_cached_answers=args.max_cached_answers,
         deadline_ms=args.deadline_ms,

@@ -6,9 +6,9 @@ idiom (many concurrent tasks driven through one shared execution context):
 
 * :class:`~repro.server.batcher.MicroBatcher` — coalesces concurrent
   ``measure`` requests into micro-batches of up to 64 fault masks per
-  bit-parallel kernel launch (flush on batch-full or a configurable
-  max-wait), with a bounded queue for backpressure and batch-occupancy /
-  latency metrics;
+  bit-parallel kernel launch (each launch takes everything queued the
+  moment the kernel is free), with a bounded queue for backpressure and
+  batch-occupancy / latency metrics;
 * :class:`~repro.server.gateway.BatchingGateway` — an asyncio HTTP/1.1
   server (``python -m repro serve``) exposing ``POST /embed``,
   ``POST /measure``, ``GET /stats`` and ``GET /healthz``, with one executor

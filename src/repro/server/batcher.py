@@ -3,15 +3,16 @@
 One :class:`MicroBatcher` fronts one executor shard, i.e. one
 ``(topology, d, n)``.  Concurrent callers ``await submit(mask, root)``; each
 queued lane carries its own root code, so requests naming different roots
-share a batch.  A single flusher task drains the bounded queue and
-packs up to ``max_batch`` (<= 64) pending masks into ONE bit-parallel kernel
-launch (:meth:`repro.engine.executor.KernelExecutor.measure_masks_batch`),
-flushing early when the batch fills and at latest ``max_wait_s`` after the
-first request of a batch arrived.  The kernel call runs in a one-thread
-executor pool so the event loop keeps accepting requests while a batch
-computes — the next batch accumulates during the current launch, which is
-what keeps occupancy high under load (the HoneyBadgerMPC program-runner
-shape: many concurrent tasks, one shared execution context).
+share a batch.  A single flusher task drains the bounded queue and packs
+everything already queued, up to ``max_batch`` (<= 64) masks, into ONE
+bit-parallel kernel launch
+(:meth:`repro.engine.executor.KernelExecutor.measure_masks_batch`).  The
+flusher is work-conserving: it launches the moment the previous launch
+returns and never holds a batch open on a timer.  Launches run on the one
+process-wide kernel thread, so the event loop keeps accepting requests while
+a batch computes — requests arriving during a launch coalesce into the next
+one, which is what keeps occupancy high under load (the HoneyBadgerMPC
+program-runner shape: many concurrent tasks, one shared execution context).
 
 Backpressure is the bounded queue: when ``max_queue`` requests are already
 waiting, :meth:`MicroBatcher.submit` raises :class:`QueueFullError`
@@ -30,7 +31,6 @@ import asyncio
 import time
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -46,6 +46,12 @@ if TYPE_CHECKING:
 __all__ = ["MicroBatcher", "QueueFullError", "latency_percentiles"]
 
 
+#: The one kernel thread every shard launches on, however many graphs are
+#: served: launches are CPU-bound numpy sweeps, so more threads would only
+#: contend for the same cores.
+_KERNEL_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-kernel")
+
+
 class QueueFullError(RuntimeError):
     """Raised by ``submit`` when the shard's bounded request queue is full."""
 
@@ -58,7 +64,7 @@ class _Lane(NamedTuple):
     future: asyncio.Future
     enqueued: float
     trace: Trace | None
-    deadline: float | None
+    deadline_s: float | None
 
 
 def latency_percentiles(samples: Iterable[float]) -> dict[str, float]:
@@ -83,9 +89,6 @@ class MicroBatcher:
     max_batch:
         Lanes per kernel launch (1..64).  ``1`` serves every request with
         its own launch (single-query serving).
-    max_wait_s:
-        Longest a request may wait for lane-mates after reaching the head
-        of a batch (default 2 ms): the latency price of occupancy.
     max_queue:
         Bound on queued requests; beyond it ``submit`` raises
         :class:`QueueFullError` (backpressure).
@@ -105,7 +108,6 @@ class MicroBatcher:
         self,
         executor: KernelExecutor,
         max_batch: int = WORD_WIDTH,
-        max_wait_s: float = 0.002,
         max_queue: int = 1024,
         registry: MetricsRegistry | None = None,
         shard: str | None = None,
@@ -114,22 +116,13 @@ class MicroBatcher:
             raise InvalidParameterError(
                 f"max_batch must be in 1..{WORD_WIDTH}, got {max_batch}"
             )
-        if max_wait_s < 0:
-            raise InvalidParameterError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if max_queue < 1:
             raise InvalidParameterError(f"max_queue must be >= 1, got {max_queue}")
         self.executor = executor
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self.max_queue = int(max_queue)
         self._queue: asyncio.Queue | None = None
         self._flusher: asyncio.Task | None = None
-        # one worker thread per shard: launches on one executor are
-        # serialised anyway (shared kernel workspace), so extra threads
-        # would only add contention
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"batcher-{executor.topology_key}"
-        )
         # -- metrics: one child per shard in the owning registry ---------------
         self.registry = registry if registry is not None else MetricsRegistry()
         self.shard = shard if shard is not None else executor.topology_key
@@ -198,12 +191,11 @@ class MicroBatcher:
         self._ensure_started()
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        deadline = None if deadline_s is None else loop.time() + deadline_s
         if root is None:
             root = self.executor.root_code
         try:
             self._queue.put_nowait(
-                _Lane(mask, root, future, time.perf_counter(), trace, deadline)
+                _Lane(mask, root, future, time.perf_counter(), trace, deadline_s)
             )
         except asyncio.QueueFull:
             self._obs_rejected.inc()
@@ -215,11 +207,16 @@ class MicroBatcher:
         try:
             return await asyncio.wait_for(future, deadline_s)
         except asyncio.TimeoutError:
-            self._obs_expired.inc()
-            raise DeadlineExceededError(
-                f"request missed its {deadline_s * 1e3:.0f} ms deadline "
-                f"(shard {self.shard})"
-            ) from None
+            raise self._expired(deadline_s) from None
+
+    def _expired(self, deadline_s: float) -> DeadlineExceededError:
+        """Count one missed deadline and build its error: ``submit`` calls it
+        when the wait times out, ``_dispatch`` when it had passed at pack time."""
+        self._obs_expired.inc()
+        return DeadlineExceededError(
+            f"request missed its {deadline_s * 1e3:.0f} ms deadline "
+            f"(shard {self.shard})"
+        )
 
     def _ensure_started(self) -> None:
         if self._flusher is None or self._flusher.done():
@@ -228,25 +225,12 @@ class MicroBatcher:
 
     # -- the flusher -----------------------------------------------------------
     async def _flush_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            deadline = loop.time() + self.max_wait_s
             while len(batch) < self.max_batch:
-                # drain whatever is already queued before sleeping at all
                 try:
                     batch.append(self._queue.get_nowait())
-                    continue
                 except asyncio.QueueEmpty:
-                    pass
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
                     break
             await self._dispatch(batch)
 
@@ -274,14 +258,9 @@ class MicroBatcher:
         for lane in batch:
             if lane.future.done():
                 continue  # waiter cancelled (e.g. its wait_for already fired)
-            if lane.deadline is not None and loop.time() >= lane.deadline:
+            if lane.deadline_s is not None and dispatch_start - lane.enqueued >= lane.deadline_s:
                 # expired while queued: leave the batch, fail only this lane
-                self._obs_expired.inc()
-                lane.future.set_exception(
-                    DeadlineExceededError(
-                        f"request expired in queue (shard {self.shard})"
-                    )
-                )
+                lane.future.set_exception(self._expired(lane.deadline_s))
                 continue
             error = self._mask_error(lane.mask)
             if error is not None:
@@ -296,14 +275,9 @@ class MicroBatcher:
             return
         self._dispatching = len(live)
         try:
-            call_start = time.perf_counter()
-            call = partial(
-                self.executor.measure_masks_batch,
-                [lane.mask for lane in live],
-                roots=[lane.root for lane in live],
-                traces=[lane.trace for lane in live],
+            picked, results, returned = await loop.run_in_executor(
+                _KERNEL_POOL, self._launch, live
             )
-            results = await loop.run_in_executor(self._pool, call)
         except Exception as exc:  # surface the failure on every waiter
             for lane in live:
                 if not lane.future.done():
@@ -318,14 +292,27 @@ class MicroBatcher:
             self._obs_completed.inc()
             self._obs_wait_seconds.observe(now - lane.enqueued)
             if lane.trace is not None:
-                # batch assembly: batch sealed to kernel hand-off
-                lane.trace.add_span("batch", dispatch_start, call_start)
+                # batch assembly and the hand-offs to and from the kernel
+                # thread: everything of the launch outside the kernel itself
+                lane.trace.add_span("batch", dispatch_start, picked)
+                lane.trace.add_span("batch", returned, now)
             if not lane.future.done():  # the waiter may have been cancelled
                 lane.future.set_result(result)
 
+    def _launch(self, live: list[_Lane]) -> tuple[float, list[tuple[int, int, int | None]], float]:
+        """One kernel launch on the kernel thread, with the moments it
+        started and returned (the hand-off ends of the ``batch`` spans)."""
+        picked = time.perf_counter()
+        results = self.executor.measure_masks_batch(
+            [lane.mask for lane in live],
+            roots=[lane.root for lane in live],
+            traces=[lane.trace for lane in live],
+        )
+        return picked, results, time.perf_counter()
+
     # -- lifecycle / observability ---------------------------------------------
     async def close(self) -> None:
-        """Cancel the flusher, fail any still-queued waiters, release the thread.
+        """Cancel the flusher and fail any still-queued waiters.
 
         Requests caught in the queue at shutdown get a :class:`QueueFullError`
         ("batcher closed") instead of an eternally pending future — a caller
@@ -346,7 +333,6 @@ class MicroBatcher:
                     break
                 if not future.done():
                     future.set_exception(QueueFullError("batcher closed"))
-        self._pool.shutdown(wait=False)
 
     def pending(self) -> int:
         """Requests still in flight: queued plus inside the current launch.
@@ -367,7 +353,8 @@ class MicroBatcher:
         lanes = int(self._obs_lanes.value())
         stats = {
             "max_batch": self.max_batch,
-            "max_wait_s": self.max_wait_s,
+            # launches are work-conserving: no request waits on a timer
+            "max_wait_s": 0.0,
             "max_queue": self.max_queue,
             "queued": self._queue.qsize() if self._queue is not None else 0,
             "launches": launches,

@@ -9,10 +9,11 @@ routes:
     "root": null}`` — the topology-generic fault-free-region query.
     The :class:`~repro.engine.service.EmbeddingService` normalises the
     request to canonical fault-unit representatives and a root code and
-    answers it from its measurement cache when possible; a miss is
-    coalesced by the shard's :class:`~repro.server.batcher.MicroBatcher`
-    into <= 64-lane kernel launches (each lane with its own root) and
-    handed back to the service, which builds the
+    answers it from its measurement cache when possible; a miss goes to the
+    shard's :class:`~repro.server.batcher.MicroBatcher`, which launches it
+    as soon as the kernel is free, together with every miss queued by then
+    (<= 64 lanes per launch, each with its own root), and hands the answer
+    back to the service, which builds the
     :class:`~repro.engine.service.MeasureResponse` — the scalar service path
     with the batcher in place of the direct executor call.
 
@@ -45,14 +46,16 @@ routes:
     the gateway mints a trace id (or adopts a valid ``X-Trace-Id`` header),
     the id is echoed in the response's ``trace_id`` field, and the exported
     spans tile the request — ``gateway`` (parse/normalise/cache lookup),
-    ``queue`` (waiting for lane-mates), ``batch`` (assembly), ``kernel``
-    (the shared launch), ``fallback`` (root-dead peeling, when taken) and
-    ``reply`` (response build).
+    ``queue`` (waiting for the shard's flusher), ``batch`` (assembly and
+    the hand-offs to and from the kernel thread, one span each way),
+    ``kernel`` (the shared launch), ``fallback`` (root-dead peeling, when
+    taken) and ``reply`` (response build).
 
 One executor shard — one :class:`MicroBatcher` over one process-wide
 :func:`~repro.engine.executor.cached_executor` — exists per
 ``(topology, d, n)`` served; the root rides per lane, so naming many roots
-adds no shards or threads.  Graphs above
+adds no shards.  Every shard launches on the one process-wide kernel
+thread, so serving more graphs adds no threads either.  Graphs above
 :data:`~repro.words.codec.MAX_NODES` nodes or
 :data:`~repro.words.codec.MAX_TABLE_ENTRIES` gather-table entries are
 refused with a 400 before any table is built.  Bounded shard queues shed
@@ -120,9 +123,9 @@ def _query_param(query: str, name: str) -> str | None:
 class GatewayConfig:
     """Knobs of the serving front-end (see ``python -m repro serve --help``).
 
-    ``max_batch``/``max_wait_ms`` trade latency for kernel occupancy:
-    requests wait at most ``max_wait_ms`` for lane-mates before their batch
-    launches, and never wait once 64 lanes are full.  ``queue_limit`` bounds
+    ``max_batch`` caps the lanes per kernel launch.  Launches are
+    work-conserving: a request never waits for lane-mates, it joins
+    whatever is queued when the kernel next comes free.  ``queue_limit`` bounds
     each shard's pending requests — beyond it the gateway sheds load with
     HTTP 503 instead of buffering unboundedly (backpressure).
     """
@@ -130,7 +133,6 @@ class GatewayConfig:
     host: str = "127.0.0.1"
     port: int = 8787
     max_batch: int = WORD_WIDTH
-    max_wait_ms: float = 2.0
     queue_limit: int = 1024
     max_cached_answers: int = 256
     max_body_bytes: int = 1024 * 1024
@@ -209,7 +211,6 @@ class BatchingGateway:
             batcher = MicroBatcher(
                 query.executor,
                 max_batch=self.config.max_batch,
-                max_wait_s=self.config.max_wait_ms / 1000.0,
                 max_queue=self.config.queue_limit,
                 registry=self.registry,
                 shard=name,
@@ -448,14 +449,14 @@ class BatchingGateway:
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     return  # client went away between requests
                 except asyncio.LimitOverrunError:
-                    await self._respond(writer, 431, {"error": "headers too large"}, True)
+                    await self._refuse(writer, 431, "headers too large")
                     return
                 started = time.perf_counter()
                 request_line, _, header_blob = head.partition(b"\r\n")
                 try:
                     method, target, version = request_line.decode("latin-1").split(" ", 2)
                 except ValueError:
-                    await self._respond(writer, 400, {"error": "bad request line"}, True)
+                    await self._refuse(writer, 400, "bad request line")
                     return
                 headers = {}
                 for line in header_blob.decode("latin-1").split("\r\n"):
@@ -466,17 +467,17 @@ class BatchingGateway:
                     # only Content-Length framing is implemented; ignoring a
                     # chunked body would desync the keep-alive stream, so
                     # refuse loudly and drop the connection
-                    await self._respond(
-                        writer, 501, {"error": "Transfer-Encoding not supported"}, True
-                    )
+                    await self._refuse(writer, 501, "Transfer-Encoding not supported")
                     return
-                try:
-                    length = int(headers.get("content-length", 0))
-                except ValueError:
-                    await self._respond(writer, 400, {"error": "bad Content-Length"}, True)
+                # HTTP allows ASCII digits only: int() would also take "-1",
+                # "+5" and "1_0"
+                raw_length = headers.get("content-length", "0")
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    await self._refuse(writer, 400, "bad Content-Length")
                     return
+                length = int(raw_length)
                 if length > self.config.max_body_bytes:
-                    await self._respond(writer, 413, {"error": "body too large"}, True)
+                    await self._refuse(writer, 413, "body too large")
                     return
                 body = await reader.readexactly(length) if length else b""
                 try:
@@ -510,6 +511,12 @@ class BatchingGateway:
         501: "Not Implemented",
         503: "Service Unavailable", 504: "Gateway Timeout",
     }
+
+    async def _refuse(self, writer: asyncio.StreamWriter, status: int, error: str) -> None:
+        """Answer an unframeable request with a counted error and close: the
+        rest of the stream cannot be trusted to start at a request."""
+        self._obs_errors.inc()
+        await self._respond(writer, status, {"error": error}, True)
 
     async def _respond(
         self,
@@ -617,7 +624,6 @@ def run(config: GatewayConfig | None = None) -> int:
         print(
             f"repro serve: listening on http://{host}:{port} "
             f"(max_batch={gateway.config.max_batch}, "
-            f"max_wait={gateway.config.max_wait_ms}ms, "
             f"queue_limit={gateway.config.queue_limit}{extras})",
             flush=True,
         )

@@ -2,7 +2,6 @@
 
 import asyncio
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ class TestCoalescing:
         expected = [executor.measure_mask_with_root(m) for m in masks]
 
         async def main():
-            batcher = MicroBatcher(executor, max_wait_s=0.05)
+            batcher = MicroBatcher(executor)
             try:
                 results = await asyncio.gather(*[batcher.submit(m) for m in masks])
                 return results, batcher.stats()
@@ -62,6 +61,46 @@ class TestCoalescing:
         assert list(results) == [executor.measure_mask_with_root(m) for m in masks]
         assert stats["launches"] == len(masks)
         assert stats["batch_occupancy"] == 1.0
+
+
+class TestWorkConserving:
+    def test_lone_request_launches_alone_and_held_requests_form_one_launch(self):
+        # the first launch is held on a gate; the lane counts of every launch
+        # are recorded on the kernel thread
+        executor = KernelExecutor(2, 6)
+        masks = _masks(executor, 6, seed=3)
+        release = threading.Event()
+        lanes_per_launch = []
+
+        class GatedExecutor:
+            topology_key = executor.topology_key
+            topology = executor.topology
+            root_code = executor.root_code
+
+            def measure_masks_batch(self, masks, roots, traces):
+                lanes_per_launch.append(len(masks))
+                if len(lanes_per_launch) == 1:
+                    release.wait(timeout=10)
+                return executor.measure_masks_batch(masks, roots, traces)
+
+        async def main():
+            batcher = MicroBatcher(GatedExecutor())
+            try:
+                first = asyncio.ensure_future(batcher.submit(masks[0]))
+                # a lane-mate 1 ms later: a 2 ms wait window would merge them
+                await asyncio.sleep(0.001)
+                held = [asyncio.ensure_future(batcher.submit(m)) for m in masks[1:]]
+                await asyncio.sleep(0.05)  # all queued behind the held launch
+                assert lanes_per_launch == [1]
+                release.set()
+                return await asyncio.gather(first, *held)
+            finally:
+                release.set()
+                await batcher.close()
+
+        results = asyncio.run(main())
+        assert lanes_per_launch == [1, len(masks) - 1]
+        assert list(results) == [executor.measure_mask_with_root(m) for m in masks]
 
 
 class TestBackpressure:
@@ -137,8 +176,6 @@ class TestBackpressure:
         with pytest.raises(InvalidParameterError):
             MicroBatcher(executor, max_batch=65)
         with pytest.raises(InvalidParameterError):
-            MicroBatcher(executor, max_wait_s=-1)
-        with pytest.raises(InvalidParameterError):
             MicroBatcher(executor, max_queue=0)
 
 
@@ -155,7 +192,7 @@ class TestFailurePropagation:
         mask = np.zeros(4, dtype=bool)
 
         async def main():
-            batcher = MicroBatcher(BrokenExecutor(), max_wait_s=0.01)
+            batcher = MicroBatcher(BrokenExecutor())
             try:
                 results = await asyncio.gather(
                     *[batcher.submit(mask) for _ in range(3)],
@@ -179,20 +216,3 @@ class TestLatencyPercentiles:
         stats = latency_percentiles([0.3, 0.1, 0.2, 0.4])
         assert stats["p50_s"] == 0.3
         assert stats["p99_s"] == 0.4
-
-    def test_wait_bound_is_respected_roughly(self):
-        # a lone request must not wait for a full batch: it flushes after
-        # max_wait_s, not after 63 lane-mates show up
-        executor = KernelExecutor(2, 5)
-        mask = np.zeros(executor.topology.num_nodes, dtype=bool)
-
-        async def main():
-            batcher = MicroBatcher(executor, max_wait_s=0.01)
-            try:
-                start = time.perf_counter()
-                await batcher.submit(mask)
-                return time.perf_counter() - start
-            finally:
-                await batcher.close()
-
-        assert asyncio.run(main()) < 5.0

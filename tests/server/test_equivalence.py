@@ -115,7 +115,7 @@ def test_any_interleaving_matches_sequential_scalar(topology, max_batch, data):
 
     async def main():
         gateway = BatchingGateway(
-            GatewayConfig(port=0, max_batch=max_batch, max_wait_ms=1.0)
+            GatewayConfig(port=0, max_batch=max_batch)
         )
         answers: list = [None] * len(requests)
 

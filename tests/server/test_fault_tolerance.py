@@ -64,7 +64,7 @@ class TestDeadlines:
         mask = np.zeros(executor.topology.num_nodes, dtype=bool)
 
         async def main():
-            batcher = MicroBatcher(SlowExecutor(), max_wait_s=0.0)
+            batcher = MicroBatcher(SlowExecutor())
             # the first submit occupies the single worker thread behind
             # ``release``; the deadlined one then expires while it waits
             slow = asyncio.ensure_future(batcher.submit(mask))
@@ -130,7 +130,7 @@ class TestFailureIsolation:
         poisoned = np.zeros(nodes - 1, dtype=bool)  # wrong shape
 
         async def main():
-            batcher = MicroBatcher(executor, max_wait_s=0.2)
+            batcher = MicroBatcher(executor)
             results = await asyncio.gather(
                 *[batcher.submit(m) for m in good],
                 batcher.submit(poisoned),
@@ -153,7 +153,7 @@ class TestFailureIsolation:
         nodes = executor.topology.num_nodes
 
         async def main():
-            batcher = MicroBatcher(executor, max_wait_s=0.1)
+            batcher = MicroBatcher(executor)
             results = await asyncio.gather(
                 batcher.submit([True] * nodes),  # not an ndarray
                 batcher.submit(np.zeros(nodes, dtype=np.int64)),  # wrong dtype
@@ -398,8 +398,7 @@ class TestGracefulDrain:
         src = Path(__file__).resolve().parents[2] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--max-wait-ms", "0.5"],
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,

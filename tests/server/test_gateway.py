@@ -4,6 +4,8 @@ import asyncio
 import json
 import threading
 
+import numpy as np
+
 from repro.engine.service import EmbeddingService
 from repro.server.client import AsyncServeClient, fire_measure
 from repro.server.gateway import BatchingGateway, GatewayConfig
@@ -249,7 +251,7 @@ class TestStats:
         json.dumps(stats)  # everything must be JSON-serialisable
 
     def test_queue_limit_maps_to_503(self):
-        config = GatewayConfig(port=0, queue_limit=1, max_batch=1, max_wait_ms=0.0)
+        config = GatewayConfig(port=0, queue_limit=1, max_batch=1)
         payloads = [
             {"topology": "debruijn", "d": 2, "n": 10,
              "faults": [[int(b) for b in format(i, "010b")]], "root": None}
@@ -274,8 +276,12 @@ class TestStats:
         assert 503 in statuses
 
 
+def _kernel_threads():
+    return {t.ident for t in threading.enumerate() if t.name.startswith("repro-kernel")}
+
+
 def test_distinct_roots_share_one_shard():
-    """40 distinct roots on B(2,8): one shard, one batcher thread, one executor.
+    """40 distinct roots on B(2,8): one shard, one kernel thread, one executor.
 
     The root rides per lane, so it adds no shard, no worker thread and no
     executor-cache entry; every answer is still the scalar service's answer
@@ -291,14 +297,11 @@ def test_distinct_roots_share_one_shard():
     payloads = [{"topology": "debruijn", "d": 2, "n": 8, "faults": faults,
                  "root": root} for root in roots]
 
-    def batcher_threads():
-        return {t.ident for t in threading.enumerate() if t.name.startswith("batcher-")}
-
     async def scenario(gateway, host, port):
-        before = batcher_threads()
+        before = _kernel_threads()
         misses = cache_stats()["engine.kernel_executors"]["misses"]
         answers, _ = await fire_measure(host, port, payloads, concurrency=40)
-        new_threads = batcher_threads() - before
+        new_threads = _kernel_threads() - before
         return answers, gateway.stats()["shards"], new_threads, (
             cache_stats()["engine.kernel_executors"]["misses"] - misses
         )
@@ -315,3 +318,41 @@ def test_distinct_roots_share_one_shard():
             del want[key], answer[key]
         del answer["trace_id"]
         assert answer == want
+
+
+def test_distinct_graphs_share_one_kernel_thread():
+    """Five graphs served by one gateway launch on one process-wide thread.
+
+    Each ``(topology, d, n)`` gets its own shard, but every shard submits to
+    the same kernel thread: the thread count stays at one from the second
+    graph to the fifth, and every answer is the executor's scalar answer.
+    """
+    from repro.engine.executor import cached_executor
+    from repro.topology import get_topology
+
+    graphs = [("debruijn", 2, 8), ("debruijn", 3, 5), ("kautz", 2, 8),
+              ("hypercube", 2, 8), ("undirected_debruijn", 2, 8)]
+
+    async def scenario(gateway, host, port):
+        counts, answers = [], []
+        for key, d, n in graphs:
+            topo = get_topology(key, d, n)
+            codes = [3, 70, 141]
+            payloads = [{"topology": key, "d": d, "n": n,
+                         "faults": [list(topo.decode(c)) for c in codes[:f]],
+                         "root": None} for f in range(len(codes) + 1)]
+            graph_answers, _ = await fire_measure(host, port, payloads, concurrency=4)
+            answers.append((topo, codes, graph_answers))
+            counts.append(len(_kernel_threads()))
+        return counts, answers, sorted(gateway.stats()["shards"])
+
+    counts, answers, shards = _with_gateway()(scenario)
+    assert len(shards) == len(graphs)
+    assert counts[1:] == [1] * (len(graphs) - 1)
+    for topo, codes, graph_answers in answers:
+        executor = cached_executor(topo.d, topo.n, topo.key)
+        for f, answer in enumerate(graph_answers):
+            mask = topo.fault_unit_mask(np.asarray(codes[:f], dtype=np.int64))
+            size, ecc, root = executor.measure_mask_with_root(mask)
+            assert (answer["region_size"], answer["root_eccentricity"]) == (size, ecc)
+            assert answer["root"] == (None if root is None else list(topo.decode(root)))

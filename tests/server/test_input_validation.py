@@ -105,6 +105,35 @@ class TestUnexpectedFailure:
         assert embed_line == "HTTP/1.1 200 OK" and after == 1
 
 
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["-1", "-4096", "ten", "+2", "1_0", ""])
+    def test_unusable_length_is_a_counted_400_that_closes(self, value):
+        async def main():
+            gateway = BatchingGateway(GatewayConfig(port=0))
+            await gateway.start()
+            host, port = gateway.address
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    f"POST /measure HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {value}\r\n\r\n{{}}".encode()
+                )
+                await writer.drain()
+                # read() returns at EOF: the gateway closed the connection
+                response = await asyncio.wait_for(reader.read(), timeout=5)
+                writer.close()
+                return response, gateway.stats()["server"]["errors"]
+            finally:
+                await gateway.close()
+
+        response, errors = asyncio.run(main())
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "bad Content-Length"}
+        assert errors == 1
+
+
 class TestNonIntegralNumbers:
     """``1.7`` is never truncated to ``1``: every endpoint answers 400."""
 
