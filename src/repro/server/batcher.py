@@ -8,11 +8,14 @@ everything already queued, up to ``max_batch`` (<= 64) masks, into ONE
 bit-parallel kernel launch
 (:meth:`repro.engine.executor.KernelExecutor.measure_masks_batch`).  The
 flusher is work-conserving: it launches the moment the previous launch
-returns and never holds a batch open on a timer.  Launches run on the one
-process-wide kernel thread, so the event loop keeps accepting requests while
+returns and never holds a batch open on a timer.  Launches run on the
+process-wide kernel pool, so the event loop keeps accepting requests while
 a batch computes — requests arriving during a launch coalesce into the next
 one, which is what keeps occupancy high under load (the HoneyBadgerMPC
 program-runner shape: many concurrent tasks, one shared execution context).
+A shard has at most one launch in flight; launches of different graphs run
+side by side, up to one per CPU core, so a slow launch on a large graph does
+not hold up a small graph's requests.
 
 Backpressure is the bounded queue: when ``max_queue`` requests are already
 waiting, :meth:`MicroBatcher.submit` raises :class:`QueueFullError`
@@ -28,6 +31,7 @@ share a sweep, never what any request observes.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -46,10 +50,10 @@ if TYPE_CHECKING:
 __all__ = ["MicroBatcher", "QueueFullError", "latency_percentiles"]
 
 
-#: The one kernel thread every shard launches on, however many graphs are
-#: served: launches are CPU-bound numpy sweeps, so more threads would only
-#: contend for the same cores.
-_KERNEL_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-kernel")
+#: The kernel threads every shard launches on, however many graphs are
+#: served: one per core, as launches are numpy sweeps that release the GIL
+#: and one thread would queue a small graph's launch behind a large graph's.
+_KERNEL_POOL = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="repro-kernel")
 
 
 class QueueFullError(RuntimeError):
@@ -300,7 +304,7 @@ class MicroBatcher:
                 lane.future.set_result(result)
 
     def _launch(self, live: list[_Lane]) -> tuple[float, list[tuple[int, int, int | None]], float]:
-        """One kernel launch on the kernel thread, with the moments it
+        """One kernel launch on a kernel thread, with the moments it
         started and returned (the hand-off ends of the ``batch`` spans)."""
         picked = time.perf_counter()
         results = self.executor.measure_masks_batch(

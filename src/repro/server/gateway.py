@@ -47,7 +47,7 @@ routes:
     the id is echoed in the response's ``trace_id`` field, and the exported
     spans tile the request — ``gateway`` (parse/normalise/cache lookup),
     ``queue`` (waiting for the shard's flusher), ``batch`` (assembly and
-    the hand-offs to and from the kernel thread, one span each way),
+    the hand-offs to and from a kernel thread, one span each way),
     ``kernel`` (the shared launch), ``fallback`` (root-dead peeling, when
     taken) and ``reply`` (response build).
 
@@ -475,8 +475,11 @@ class BatchingGateway:
                 if not (raw_length.isascii() and raw_length.isdigit()):
                     await self._refuse(writer, 400, "bad Content-Length")
                     return
-                length = int(raw_length)
-                if length > self.config.max_body_bytes:
+                # more digits than the cap is over it: int() never sees them
+                digits = raw_length.lstrip("0") or "0"
+                cap = self.config.max_body_bytes
+                length = int(digits) if len(digits) <= len(str(cap)) else None
+                if length is None or length > cap:
                     await self._refuse(writer, 413, "body too large")
                     return
                 body = await reader.readexactly(length) if length else b""

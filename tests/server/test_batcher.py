@@ -1,6 +1,7 @@
 """Tests for the micro-batcher: coalescing, backpressure, metrics."""
 
 import asyncio
+import os
 import threading
 
 import numpy as np
@@ -103,6 +104,47 @@ class TestWorkConserving:
         assert list(results) == [executor.measure_mask_with_root(m) for m in masks]
 
 
+class TestKernelPool:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one kernel thread per core")
+    def test_held_launch_on_one_graph_does_not_hold_up_another(self):
+        # a launch on one shard holds a kernel thread; a second graph's
+        # request still gets its answer from another thread meanwhile
+        held_executor = KernelExecutor(2, 9)
+        executor = KernelExecutor(2, 6)
+        release = threading.Event()
+
+        class HeldExecutor:
+            topology_key = held_executor.topology_key
+            topology = held_executor.topology
+            root_code = held_executor.root_code
+
+            def measure_masks_batch(self, masks, roots, traces):
+                release.wait(timeout=10)
+                return held_executor.measure_masks_batch(masks, roots, traces)
+
+        held_mask = np.zeros(held_executor.topology.num_nodes, dtype=bool)
+        [mask] = _masks(executor, 1, seed=5)
+
+        async def main():
+            held = MicroBatcher(HeldExecutor())
+            free = MicroBatcher(executor)
+            try:
+                slow = asyncio.ensure_future(held.submit(held_mask))
+                await asyncio.sleep(0.05)  # the held launch occupies a thread
+                answer = await asyncio.wait_for(free.submit(mask), timeout=5)
+                assert not slow.done()
+            finally:
+                release.set()
+            slow_answer = await slow
+            await held.close()
+            await free.close()
+            return answer, slow_answer
+
+        answer, slow_answer = asyncio.run(main())
+        assert answer == executor.measure_mask_with_root(mask)
+        assert slow_answer == held_executor.measure_mask_with_root(held_mask)
+
+
 class TestBackpressure:
     def test_full_queue_rejects_immediately(self):
         executor = KernelExecutor(2, 5)
@@ -124,14 +166,18 @@ class TestBackpressure:
         async def main():
             batcher = MicroBatcher(SlowExecutor(), max_batch=1, max_queue=2)
             first = asyncio.ensure_future(batcher.submit(mask))
-            await asyncio.sleep(0.05)  # flusher now blocked inside the launch
-            second = asyncio.ensure_future(batcher.submit(mask))
-            third = asyncio.ensure_future(batcher.submit(mask))
-            await asyncio.sleep(0.05)  # both queued: the queue (maxsize 2) is full
-            with pytest.raises(QueueFullError):
-                await batcher.submit(mask)
-            assert batcher.stats()["rejected"] == 1
-            release.set()
+            # released however the checks end: the kernel thread is shared
+            # by every batcher in the process
+            try:
+                await asyncio.sleep(0.05)  # flusher now blocked inside the launch
+                second = asyncio.ensure_future(batcher.submit(mask))
+                third = asyncio.ensure_future(batcher.submit(mask))
+                await asyncio.sleep(0.05)  # both queued: the queue (maxsize 2) is full
+                with pytest.raises(QueueFullError):
+                    await batcher.submit(mask)
+                assert batcher.stats()["rejected"] == 1
+            finally:
+                release.set()
             results = await asyncio.gather(first, second, third)
             await batcher.close()
             return results
@@ -157,11 +203,13 @@ class TestBackpressure:
         async def main():
             batcher = MicroBatcher(SlowExecutor(), max_batch=1, max_queue=4)
             first = asyncio.ensure_future(batcher.submit(mask))
-            await asyncio.sleep(0.05)  # flusher blocked inside the launch
-            stuck = asyncio.ensure_future(batcher.submit(mask))
-            await asyncio.sleep(0.05)  # now queued behind the blocked launch
-            await batcher.close()
-            release.set()
+            try:
+                await asyncio.sleep(0.05)  # flusher blocked inside the launch
+                stuck = asyncio.ensure_future(batcher.submit(mask))
+                await asyncio.sleep(0.05)  # now queued behind the blocked launch
+                await batcher.close()
+            finally:
+                release.set()
             # the queued waiter must resolve (with an error), never hang
             with pytest.raises(QueueFullError, match="closed"):
                 await asyncio.wait_for(stuck, timeout=5)

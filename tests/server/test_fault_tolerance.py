@@ -65,13 +65,17 @@ class TestDeadlines:
 
         async def main():
             batcher = MicroBatcher(SlowExecutor())
-            # the first submit occupies the single worker thread behind
-            # ``release``; the deadlined one then expires while it waits
+            # the first submit occupies the kernel thread behind ``release``;
+            # the deadlined one then expires while it waits.  ``release`` is
+            # set however the check ends: the kernel thread is process-wide,
+            # so a stuck launch would stall every later test's launches
             slow = asyncio.ensure_future(batcher.submit(mask))
-            await asyncio.sleep(0.05)
-            with pytest.raises(DeadlineExceededError, match="deadline"):
-                await batcher.submit(mask, deadline_s=0.05)
-            release.set()
+            try:
+                await asyncio.sleep(0.05)
+                with pytest.raises(DeadlineExceededError, match="deadline"):
+                    await batcher.submit(mask, deadline_s=0.05)
+            finally:
+                release.set()
             answer = await slow
             stats = batcher.stats()
             await batcher.close()

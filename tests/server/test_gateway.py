@@ -281,9 +281,9 @@ def _kernel_threads():
 
 
 def test_distinct_roots_share_one_shard():
-    """40 distinct roots on B(2,8): one shard, one kernel thread, one executor.
+    """40 distinct roots on B(2,8): one shard and one executor.
 
-    The root rides per lane, so it adds no shard, no worker thread and no
+    The root rides per lane, so it adds no shard, no kernel thread and no
     executor-cache entry; every answer is still the scalar service's answer
     for that root, including roots inside the faulty necklace (fallback).
     """
@@ -309,7 +309,10 @@ def test_distinct_roots_share_one_shard():
     answers, shards, new_threads, executor_misses = _with_gateway()(scenario)
     assert list(shards) == ["debruijn(2,8)"]
     assert shards["debruijn(2,8)"]["completed"] == 40
-    assert len(new_threads) <= 1
+    # one shard's launches never overlap, so at most a second kernel thread
+    # starts: the pool adds one when a launch is submitted before the thread
+    # that ran the previous one has marked itself idle
+    assert len(new_threads) <= 2
     assert executor_misses <= 1
     service = EmbeddingService()
     for root, answer in zip(roots, answers):
@@ -320,12 +323,12 @@ def test_distinct_roots_share_one_shard():
         assert answer == want
 
 
-def test_distinct_graphs_share_one_kernel_thread():
-    """Five graphs served by one gateway launch on one process-wide thread.
+def test_distinct_graphs_share_the_kernel_pool():
+    """Five graphs served by one gateway launch on the process-wide pool.
 
     Each ``(topology, d, n)`` gets its own shard, but every shard submits to
-    the same kernel thread: the thread count stays at one from the second
-    graph to the fifth, and every answer is the executor's scalar answer.
+    the same kernel pool: the kernel threads are not one per graph, and
+    every answer is the executor's scalar answer.
     """
     from repro.engine.executor import cached_executor
     from repro.topology import get_topology
@@ -334,6 +337,7 @@ def test_distinct_graphs_share_one_kernel_thread():
               ("hypercube", 2, 8), ("undirected_debruijn", 2, 8)]
 
     async def scenario(gateway, host, port):
+        before = _kernel_threads()
         counts, answers = [], []
         for key, d, n in graphs:
             topo = get_topology(key, d, n)
@@ -343,12 +347,14 @@ def test_distinct_graphs_share_one_kernel_thread():
                          "root": None} for f in range(len(codes) + 1)]
             graph_answers, _ = await fire_measure(host, port, payloads, concurrency=4)
             answers.append((topo, codes, graph_answers))
-            counts.append(len(_kernel_threads()))
+            counts.append(len(_kernel_threads() - before))
         return counts, answers, sorted(gateway.stats()["shards"])
 
     counts, answers, shards = _with_gateway()(scenario)
     assert len(shards) == len(graphs)
-    assert counts[1:] == [1] * (len(graphs) - 1)
+    # the graphs are served one after another, so no two launches overlap
+    # and the pool starts at most two threads (see the test above)
+    assert max(counts) <= 2
     for topo, codes, graph_answers in answers:
         executor = cached_executor(topo.d, topo.n, topo.key)
         for f, answer in enumerate(graph_answers):

@@ -105,33 +105,60 @@ class TestUnexpectedFailure:
         assert embed_line == "HTTP/1.1 200 OK" and after == 1
 
 
+def _framed(value: str, extra_headers: str = ""):
+    """Send a ``POST /measure`` with body ``{}`` under ``Content-Length:
+    value`` to a fresh gateway; returns ``(status line, head, body, errors)``
+    once the gateway closes the connection."""
+
+    async def main():
+        gateway = BatchingGateway(GatewayConfig(port=0))
+        await gateway.start()
+        host, port = gateway.address
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                f"POST /measure HTTP/1.1\r\nHost: x\r\n{extra_headers}"
+                f"Content-Length: {value}\r\n\r\n{{}}".encode()
+            )
+            await writer.drain()
+            # read() returns at EOF: the gateway closed the connection
+            response = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            return response, gateway.stats()["server"]["errors"]
+        finally:
+            await gateway.close()
+
+    response, errors = asyncio.run(main())
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], head, json.loads(body), errors
+
+
 class TestContentLength:
     @pytest.mark.parametrize("value", ["-1", "-4096", "ten", "+2", "1_0", ""])
     def test_unusable_length_is_a_counted_400_that_closes(self, value):
-        async def main():
-            gateway = BatchingGateway(GatewayConfig(port=0))
-            await gateway.start()
-            host, port = gateway.address
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-                writer.write(
-                    f"POST /measure HTTP/1.1\r\nHost: x\r\n"
-                    f"Content-Length: {value}\r\n\r\n{{}}".encode()
-                )
-                await writer.drain()
-                # read() returns at EOF: the gateway closed the connection
-                response = await asyncio.wait_for(reader.read(), timeout=5)
-                writer.close()
-                return response, gateway.stats()["server"]["errors"]
-            finally:
-                await gateway.close()
-
-        response, errors = asyncio.run(main())
-        head, _, body = response.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        line, head, body, errors = _framed(value)
+        assert line == b"HTTP/1.1 400 Bad Request"
         assert b"Connection: close" in head
-        assert json.loads(body) == {"error": "bad Content-Length"}
+        assert body == {"error": "bad Content-Length"}
         assert errors == 1
+
+    # the 5000-digit lengths are past int()'s default digit limit (4300)
+    @pytest.mark.parametrize(
+        "value", ["1048577", "1" + "0" * 5000, "9" * 5000], ids=["cap+1", "1e5000", "9x5000"]
+    )
+    def test_length_over_the_cap_is_a_counted_413_that_closes(self, value):
+        line, head, body, errors = _framed(value)
+        assert line == b"HTTP/1.1 413 Payload Too Large"
+        assert b"Connection: close" in head
+        assert body == {"error": "body too large"}
+        assert errors == 1
+
+    def test_leading_zeros_do_not_count_against_the_cap(self):
+        # 5000 zeros then "2" frames the two-byte body "{}", which /measure
+        # then refuses for its missing parameters, not for its framing
+        line, _, body, _ = _framed("0" * 5000 + "2", "Connection: close\r\n")
+        assert line == b"HTTP/1.1 400 Bad Request"
+        assert body == {"error": "KeyError: 'd'"}
 
 
 class TestNonIntegralNumbers:
