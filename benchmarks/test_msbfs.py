@@ -6,7 +6,12 @@ Acceptance criteria of the batched traversal kernel:
   (``batch=1``) rows **bit-for-bit** — same seeds, any batch size, including
   resuming a checkpoint written by the scalar path;
 * a multi-row ``B(2, 12)`` sweep is at least **8x faster** single-process
-  with the 64-trial kernel than with the per-trial scalar path.
+  with the 64-trial kernel than with the per-trial scalar path;
+* 64-lane ``B(4, 8)`` launches pulling by the De Bruijn shift are at least
+  **1.75x faster** than the same launches through the gather form, with
+  identical stats.  A dense level alone pulls 3-5x faster; the sparse
+  levels, setup and lane count that both forms share hold the whole launch
+  to about 2x.
 
 The equality assertions always run.  The wall-clock assertion, like the
 other speedup gates, is disabled under ``--benchmark-disable`` (the CI
@@ -15,9 +20,12 @@ import/API smoke job) and re-measures on a noisy miss.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.engine import ParallelSweepEngine
+from repro.graphs.msbfs import WORD_WIDTH, BatchWorkspace, batched_root_stats, pack_fault_lanes
+from repro.topology import get_topology
 
 #: The pinned multi-row sweep: four fault counts spanning the paper's light
 #: and heavy regimes, enough trials for stable timing, small enough for CI.
@@ -103,4 +111,65 @@ def test_eightfold_speedup_b2_12(benchmark, timing_enabled):
         )
     benchmark.pedantic(
         lambda: batched_engine.run(**SPEEDUP_SWEEP), iterations=1, rounds=1
+    )
+
+
+class _GatherOnly:
+    """``B(4, 8)``'s tables without ``predecessor_shift``: the gather form."""
+
+    def __init__(self, source):
+        self.size = source.size
+        self.predecessor_columns = source.predecessor_columns
+        self.successor_table = source.successor_table
+
+
+#: The fault counts of the B(4,8) rows of perfbench's ``sweep`` workload.
+PULL_FAULT_COUNTS = (1, 5, 20, 50)
+#: The two forms measure about 1.9-2.4x apart on a shared 2-CPU x86 host;
+#: a 2x floor failed 4 of 23 runs there.
+REQUIRED_PULL_SPEEDUP = 1.75
+
+
+def test_shift_pull_halves_b4_8_launches(benchmark, timing_enabled):
+    topology = get_topology("debruijn", 4, 8)
+    gather_only = _GatherOnly(topology)
+    workspace = BatchWorkspace(topology.num_nodes)
+    rows = [
+        pack_fault_lanes(
+            topology, np.random.default_rng(f).integers(0, topology.num_nodes, (WORD_WIDTH, f))
+        )
+        for f in PULL_FAULT_COUNTS
+    ]
+
+    def launch(source, lanes):
+        s = batched_root_stats(source, lanes, 1, WORD_WIDTH, workspace=workspace)
+        return s.sizes.tolist(), s.eccs.tolist(), s.root_dead, s.levels
+
+    speedup, pull_time, gather_time = 0.0, 0.0, 0.0
+    for _ in range(ATTEMPTS):
+        # per row, the best of alternating launches, so a burst of host noise
+        # hits both forms and inflates neither row's minimum
+        pull_time = gather_time = 0.0
+        for lanes in rows:
+            pull_best = gather_best = float("inf")
+            for _ in range(20):
+                elapsed, pulled = _best_time(lambda: launch(topology, lanes), repeats=1)
+                pull_best = min(pull_best, elapsed)
+                elapsed, gathered = _best_time(lambda: launch(gather_only, lanes), repeats=1)
+                gather_best = min(gather_best, elapsed)
+                assert pulled == gathered
+            pull_time += pull_best
+            gather_time += gather_best
+        speedup = gather_time / pull_time
+        if speedup >= REQUIRED_PULL_SPEEDUP:
+            break
+
+    print(f"\nB(4,8) 64-lane launches x{len(rows)}: gather form {gather_time*1e3:.1f} ms, "
+          f"shift pull {pull_time*1e3:.1f} ms, speedup {speedup:.2f}x")
+    if timing_enabled:
+        assert speedup >= REQUIRED_PULL_SPEEDUP, (
+            f"the shift pull is only {speedup:.2f}x faster than the gather form"
+        )
+    benchmark.pedantic(
+        lambda: [launch(topology, lanes) for lanes in rows], iterations=1, rounds=1
     )

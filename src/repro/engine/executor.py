@@ -136,10 +136,9 @@ class KernelExecutor:
         self.root_code = self.topology.default_root_code
         #: fault-free hop distances per root code (the fallback's metric)
         self._intact = LRUCache(_INTACT_ROOTS, name="executor.intact_distances")
-        # one reusable sweep workspace per executor; every kernel launch
-        # that borrows it is serialised by this lock (concurrent callers —
-        # the server's batcher threads vs an inline sweep — must not share
-        # the frontier/next/scratch arrays mid-flight)
+        # one reusable sweep workspace per executor, borrowed by every launch
+        # under this lock: concurrent callers (the batcher's kernel threads,
+        # an inline sweep) must not share its arrays mid-flight
         self._workspace = BatchWorkspace(self.topology.num_nodes)
         self._kernel_lock = threading.Lock()
         # bound the profiling children once: per-launch cost is then one

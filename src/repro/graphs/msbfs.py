@@ -15,7 +15,8 @@ columns) and ``successor_table`` (out-neighbour rows) — the De Bruijn
 irregular in-degrees with the node's own code; a self-gather only re-reads a
 visited lane and is masked off by ``avail``.  The sparse level relies on the
 two tables agreeing: every non-self entry ``x = P[y, a]`` has ``y`` in
-``successor_table[x]``.
+``successor_table[x]``.  ``predecessor_shift = d`` declares the De Bruijn
+shift ``P[y, a] = a*(size/d) + y//d`` (the codec and ``debruijn`` backend).
 
 Each level computes, for every node ``y`` with in-neighbour columns
 ``P[y, a]``, the out-direction frontier update
@@ -25,24 +26,27 @@ Each level computes, for every node ``y`` with in-neighbour columns
 in one of two forms that produce the same words:
 
 * *dense*: ``k`` full-array gathers and a few bitwise ops, with no scatter
-  and no per-trial work — the right form while the frontier spans the graph;
+  and no per-trial work — the right form while the frontier spans the graph.
+  Under the shift, ``d - 1`` contiguous ORs of ``frontier.reshape(d, -1)``'s
+  rows and ``d`` strided ANDs into ``next[r::d]`` replace the gathers;
 * *sparse*: while the union frontier of ``active`` nodes is small
   (``active * degree <= size // 16``), the formula is evaluated only on the
   candidates ``unique(successor_table[active])`` — the only nodes where it
-  can be nonzero — and only those entries of ``frontier``/``avail`` are
-  written.  A BFS starts sparse (a few roots) and, after each dense level,
-  goes back to sparse once ``count_nonzero(frontier)`` is small again (the
-  long thin tails of faulty graphs).  Expanding small frontiers from the
-  frontier side is the idea of Beamer, Asanović & Patterson's
-  direction-optimizing BFS (SC 2012).
+  can be nonzero; under the shift, ``d * unique(active % (size/d)) + r`` —
+  and only those entries of ``frontier``/``avail`` are written.  A BFS
+  starts sparse (a few roots) and, after each dense level, goes back to
+  sparse once ``count_nonzero(frontier)`` is small again (the long thin
+  tails of faulty graphs).  Expanding small frontiers from the frontier
+  side is the idea of Beamer, Asanović & Patterson's direction-optimizing
+  BFS (SC 2012).
 
 Per-trial results are recovered cheaply:
 
 * *eccentricity*: an OR-reduction of the newly-reached lanes yields one
   ``uint64`` whose set bits are the trials that gained nodes this level, so
   each trial's eccentricity is the last level its bit was set;
-* *component size*: one per-lane popcount of the final ``visited`` lanes
-  (:func:`lane_popcounts`) counts each trial's reached nodes.
+* *component size*: ``size`` minus a per-lane count (:func:`lane_popcounts`)
+  of the unvisited lanes, over only the words that hold any.
 
 For the De Bruijn graph whole-necklace removal keeps the residual digraph
 balanced (see :mod:`repro.graphs.components`), so the out-reachable set from
@@ -84,6 +88,10 @@ _BITS = _ONE << np.arange(WORD_WIDTH, dtype=np.uint64)
 #: ``_BYTE_BITS[v, b]`` is bit ``b`` of byte value ``v``: a byte column's
 #: 256-bin histogram times this table gives its eight per-bit counts.
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+#: The adder tree halves its bit-planes down to this many words; with one
+#: unpaired word per level, a byte counter then never passes 255.
+_PLANE_WORDS = 128
+_BYTE_ONES = np.uint64(0x0101010101010101)
 #: A level runs sparse while ``active * degree <= size // _SPARSE_DIVISOR``.
 _SPARSE_DIVISOR = 16
 
@@ -117,24 +125,25 @@ class BatchStats:
 
 
 class BatchWorkspace:
-    """Reusable per-graph scratch buffers for :func:`batched_root_stats`.
+    """Reusable per-graph buffers for :func:`batched_root_stats`.
 
-    A resident executor launches the kernel thousands of times over the same
-    graph; the three ``uint64[size]`` sweep arrays (frontier, next, gather
-    scratch) dominate the kernel's allocation cost and never change shape, so
-    a long-lived caller allocates them once here and passes the workspace to
-    every launch.  The workspace is NOT safe for concurrent launches — the
+    Four ``uint64[size]`` arrays: ``frontier``/``nxt`` (ping-ponged
+    levels), ``scratch`` and ``avail`` (alive, unvisited lanes), all four
+    reused by the lane count.  Allocated once per resident executor —
+    ``32 * size`` bytes, counted by the ROADMAP's residency budget — so no
+    launch allocates ``O(size)``.  NOT safe for concurrent launches: the
     owner (e.g. :class:`repro.engine.executor.KernelExecutor`) serialises
     access.
     """
 
-    __slots__ = ("size", "frontier", "nxt", "scratch")
+    __slots__ = ("size", "frontier", "nxt", "scratch", "avail")
 
     def __init__(self, size: int) -> None:
         self.size = int(size)
         self.frontier = np.empty(self.size, dtype=np.uint64)
         self.nxt = np.empty(self.size, dtype=np.uint64)
         self.scratch = np.empty(self.size, dtype=np.uint64)
+        self.avail = np.empty(self.size, dtype=np.uint64)
 
 
 class KernelSource(Protocol):
@@ -144,8 +153,9 @@ class KernelSource(Protocol):
     :class:`~repro.topology.base.Topology` backend; the kernels read only
     the node count, the contiguous predecessor gather columns (dense
     levels) and the ``(size, degree)`` successor table (sparse levels'
-    candidates), plus, for fault packing, an optional
-    ``fault_unit_members`` closure probed with ``getattr``.
+    candidates), plus the optional ``predecessor_shift`` (both level kinds,
+    instead of the columns) and ``fault_unit_members`` (fault packing),
+    probed with ``getattr``.
     """
 
     @property
@@ -223,19 +233,51 @@ def lane_removed_mask(lanes: np.ndarray, trial: int) -> np.ndarray:
 
 
 def lane_popcounts(lanes: np.ndarray, batch: int) -> np.ndarray:
-    """Per-trial popcount over nodes: ``out[t] = #{x : bit t of lanes[x]}``.
+    """Per-trial popcount over nodes: ``out[t] = #{x : bit t of lanes[x]}``
+    (bits at or above ``batch`` do not leak into the counts)."""
+    return _lane_counts(lanes, batch, np.empty_like(lanes), np.empty_like(lanes))
 
-    Lane ``t`` lives in byte ``t // 8`` of the little-endian words, so only
-    the ``ceil(batch / 8)`` byte columns holding lanes are read: each costs
-    one 256-bin ``np.bincount`` over the nodes and a ``256 x 8`` bit-table
-    product.  Bits at or above ``batch`` do not leak into the counts.
+
+def _lane_counts(lanes: np.ndarray, batch: int, work: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """:func:`lane_popcounts` on two buffers of ``lanes.size`` words it overwrites.
+
+    1-16 lanes: a 256-bin histogram per byte of lanes.  Wider, where those
+    stall on the all-ones bin, a carry-save adder tree: each level adds the
+    halves of ``k`` bit-planes into ``k + 1`` planes of half the words, and
+    byte counters read the lane counts off plane ``j`` at weight ``2**j``.
     """
-    used = (batch + 7) // 8
-    columns = lanes.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    counts = np.empty(8 * used, dtype=np.int64)
-    for j in range(used):
-        counts[8 * j : 8 * j + 8] = np.bincount(columns[:, j], minlength=256) @ _BYTE_BITS
-    return counts[:batch]
+    if batch <= 16:
+        columns = lanes.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        counts = [np.bincount(columns[:, j], minlength=256) for j in range((batch + 7) // 8)]
+        return (np.stack(counts) @ _BYTE_BITS).ravel()[:batch]
+    planes = lanes[None, :]
+    odd = np.zeros((WORD_WIDTH, WORD_WIDTH), dtype=np.uint64)  # [plane, level]
+    while planes.shape[1] > _PLANE_WORDS:
+        k, words = planes.shape
+        half = words // 2
+        odd[:k, k - 1] = planes[:, -1] if words & 1 else 0  # the unpaired word
+        out = (work, spare)[(k - 1) & 1]  # not the buffer ``planes`` lives in
+        total = out[: (k + 1) * half].reshape(k + 1, half)
+        low, high = planes[:, :half], planes[:, half : 2 * half]
+        # total[j + 1]: plane j's generate (low & high), then its carry out;
+        # low[j]: its propagate (low ^ high), xored with the carry in last
+        np.bitwise_and(low, high, out=total[1:])
+        np.bitwise_xor(low[0], high[0], out=total[0])
+        if k > 1:  # low is this function's buffer from here on
+            np.bitwise_xor(low[1:], high[1:], out=low[1:])
+            carry = out[(k + 1) * half : (k + 2) * half]
+            for j in range(1, k):
+                np.bitwise_and(low[j], total[j], out=carry)
+                np.bitwise_or(total[j + 1], carry, out=total[j + 1])
+            np.bitwise_xor(total[1:k], low[1:], out=total[1:k])
+        planes = total
+    k = len(planes)
+    planes = np.hstack([planes, odd[:k, : k - 1]])
+    # row b: bit b of every byte, summed over words, so byte i counts lane 8i + b
+    ones = (planes[:, None, :] >> np.arange(8, dtype=np.uint64)[:, None]) & _BYTE_ONES
+    ones = ones.sum(axis=2, dtype=np.uint64)
+    per_lane = ones.astype("<u8", copy=False).view(np.uint8).reshape(k, 8, 8).transpose(0, 2, 1)
+    return ((np.int64(1) << np.arange(k, dtype=np.int64)) @ per_lane.reshape(k, 64))[:batch]
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -296,27 +338,27 @@ def batched_root_stats(
     if root_dead == int(all_bits):
         return BatchStats(sizes, eccs, root_dead)
 
-    if workspace is not None and workspace.size != size:
+    if workspace is None:
+        workspace = BatchWorkspace(size)
+    elif workspace.size != size:
         raise InvalidParameterError(
             f"workspace sized for {workspace.size} nodes, graph has {size}"
         )
-    if workspace is None:
-        frontier = np.zeros(size, dtype=np.uint64)
-        nxt = np.empty(size, dtype=np.uint64)
-        scratch = np.empty(size, dtype=np.uint64)
-    else:
-        frontier, nxt, scratch = workspace.frontier, workspace.nxt, workspace.scratch
-        frontier.fill(0)
+    frontier, nxt = workspace.frontier, workspace.nxt
+    scratch, avail = workspace.scratch, workspace.avail
+    frontier.fill(0)
     live_roots = roots[~dead_mask]
     np.bitwise_or.at(frontier, live_roots, trial_bits[~dead_mask])
     # `avail[x]` holds the lanes in which x is alive and not yet visited —
     # one AND per step instead of `& alive & ~visited`, and since every
     # newly-reached lane set is a subset of `avail`, marking it visited is a
-    # XOR.  The visited set itself is never materialised: it is recovered at
-    # the end as `alive ^ avail` (visited lanes are always alive).
-    alive = ~removed_lanes
-    avail = alive ^ frontier  # root lanes start visited
-    pred_cols = source.predecessor_columns
+    # XOR.  Neither `alive` nor the visited set is materialised: visited
+    # lanes are alive, so the unvisited ones are `removed | avail`.
+    np.invert(removed_lanes, out=avail)
+    avail[live_roots] &= ~frontier[live_roots]  # root lanes start visited
+    # under the shift, node y pulls entry y//d of the OR of frontier's d blocks
+    shift = getattr(source, "predecessor_shift", None)
+    pred_cols = None if shift else source.predecessor_columns
     succ = source.successor_table
     sparse_limit = size // _SPARSE_DIVISOR
     degree = succ.shape[1]
@@ -328,10 +370,16 @@ def batched_root_stats(
         if active is not None and active.size * degree > sparse_limit:
             active = None
         if active is not None:
-            cand = _distinct(succ[active])
-            new = frontier[pred_cols[0][cand]]
-            for col in pred_cols[1:]:
-                new |= frontier[col[cand]]
+            if shift:  # x's successors are (x % (size/d))*d + r for r < d
+                base = _distinct(active % (size // shift))
+                cand = (base[:, None] * shift + np.arange(shift)).ravel()
+                pulled = frontier[base + (size // shift) * np.arange(shift)[:, None]]
+                new = np.repeat(np.bitwise_or.reduce(pulled), shift)
+            else:
+                cand = _distinct(succ[active])
+                new = frontier[pred_cols[0][cand]]
+                for col in pred_cols[1:]:
+                    new |= frontier[col[cand]]
             new &= avail[cand]
             gained = np.bitwise_or.reduce(new)
             if not int(gained):
@@ -341,13 +389,19 @@ def batched_root_stats(
             avail[cand] ^= new
             active = cand[new != 0]
         else:
-            # mode="clip": the columns hold valid codes, and the default
-            # mode="raise" buffers `out` (several times slower)
-            np.take(frontier, pred_cols[0], out=nxt, mode="clip")
-            for col in pred_cols[1:]:
-                np.take(frontier, col, out=scratch, mode="clip")
-                np.bitwise_or(nxt, scratch, out=nxt)
-            np.bitwise_and(nxt, avail, out=nxt)
+            if shift:
+                pulled = scratch[: size // shift]
+                np.bitwise_or.reduce(frontier.reshape(shift, -1), out=pulled)
+                for r in range(shift):
+                    np.bitwise_and(pulled, avail[r::shift], out=nxt[r::shift])
+            else:
+                # mode="clip": the columns hold valid codes, and the default
+                # mode="raise" buffers `out` (several times slower)
+                np.take(frontier, pred_cols[0], out=nxt, mode="clip")
+                for col in pred_cols[1:]:
+                    np.take(frontier, col, out=scratch, mode="clip")
+                    np.bitwise_or(nxt, scratch, out=nxt)
+                np.bitwise_and(nxt, avail, out=nxt)
             gained = np.bitwise_or.reduce(nxt)
             if not int(gained):
                 break
@@ -362,6 +416,9 @@ def batched_root_stats(
         hit = (np.asarray(gains, dtype=np.uint64)[:, None] & trial_bits) != 0
         depth = len(gains)
         eccs[:] = np.where(hit.any(axis=0), depth - np.argmax(hit[::-1], axis=0), 0)
-    np.bitwise_xor(alive, avail, out=alive)
-    sizes[:] = lane_popcounts(alive, batch)
+    np.bitwise_or(removed_lanes, avail, out=nxt)  # count the unvisited lanes
+    held = frontier.view(np.bool_)[:size]
+    np.not_equal(nxt, 0, out=held)
+    unvisited = np.compress(held, nxt, out=scratch[: np.count_nonzero(held)])
+    sizes[:] = size - _lane_counts(unvisited, batch, nxt, avail)
     return BatchStats(sizes, eccs, root_dead, levels=len(gains))

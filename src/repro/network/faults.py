@@ -82,21 +82,21 @@ def sample_fault_codes(
         raise InvalidParameterError(f"cannot place {f} faults among {total} nodes")
     if f == 0:
         return []
-    draws = rng.integers(0, total, size=f)
-    if not rejected and (f == 1 or np.unique(draws).size == f):
+    draws = rng.integers(0, total, size=f).tolist()
+    if not rejected and len(set(draws)) == f:
         # bulk accept: with no exclusions and no collisions the scalar loop
         # would take these same f draws verbatim
-        return draws.tolist()
+        return draws
     codes: list[int] = []
     while True:
-        for value in draws.tolist():
+        for value in draws:
             if value in rejected:
                 continue
             rejected.add(value)
             codes.append(value)
         if len(codes) == f:
             return codes
-        draws = rng.integers(0, total, size=f - len(codes))
+        draws = rng.integers(0, total, size=f - len(codes)).tolist()
 
 
 def sample_node_fault_codes(

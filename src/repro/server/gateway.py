@@ -250,9 +250,13 @@ class BatchingGateway:
             deadline_ms = float(
                 payload.get("deadline_ms", self.config.deadline_ms) or 0.0
             )
+            mask_start = time.perf_counter()
+            removed = query.removed_mask()
+            if trace is not None:
+                trace.add_span("mask", mask_start, time.perf_counter())
             try:
                 measured = await self._shard(query).submit(
-                    query.removed_mask(),
+                    removed,
                     query.root_code,
                     trace,
                     deadline_s=deadline_ms / 1000.0 if deadline_ms > 0 else None,

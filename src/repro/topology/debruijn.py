@@ -64,6 +64,7 @@ class DeBruijnTopology(_CodecBackedMixin, Topology):
         self.d, self.n = self.codec.d, self.codec.n
         self.num_nodes = self.codec.size
         self.max_fault_unit_size = self.n
+        self.predecessor_shift = self.codec.predecessor_shift  # same columns
 
     # gather tables are the codec's cached matrices ----------------------------
     def _build_successor_table(self) -> np.ndarray:

@@ -102,6 +102,9 @@ class WordCodec:
         #: is the length-``(n-1)`` suffix of ``x`` and ``x // high`` its
         #: leading digit — the ``alpha``/``w`` split of the paper's ``alpha w``.
         self.high = self.d ** (self.n - 1)
+        #: the predecessor columns are the shift ``P[y, a] = a*high + y//d``,
+        #: which :mod:`repro.graphs.msbfs` pulls with slices, not gathers
+        self.predecessor_shift = self.d
         dtype = np.int64 if self.size > np.iinfo(np.int32).max else np.int32
         self.dtype = dtype
 
@@ -250,13 +253,9 @@ class WordCodec:
 
     @property
     def predecessor_columns(self) -> tuple[np.ndarray, ...]:
-        """The ``d`` columns of the predecessor matrix as contiguous arrays.
-
-        The bit-parallel BFS kernel (:mod:`repro.graphs.msbfs`) expands a
-        directed frontier by gathering once per in-digit; column slices of
-        the ``(d**n, d)`` matrix are strided, so the gathers run measurably
-        faster on these cached contiguous copies.
-        """
+        """The ``d`` columns of the predecessor matrix as contiguous arrays,
+        which gather faster than strided column slices (the bit-parallel
+        kernel needs none: it pulls by :attr:`predecessor_shift`)."""
         if self._pred_cols is None:
             with self._tables_lock:
                 if self._pred_cols is None:

@@ -83,6 +83,24 @@ class TestLanePopcounts:
         counts = lane_popcounts(lanes, batch)
         assert counts[0] == 3 and not counts[1:].any()
 
+    #: One node, an odd few, one adder-tree level with an unpaired word,
+    #: 3**7 (unpaired words at most levels) and a power of two.
+    @pytest.mark.parametrize("size", [1, 3, 300, 3**7, 2**14])
+    @pytest.mark.parametrize("pattern", ["ones", "zeros", "above_batch"])
+    def test_exact_at_every_size_and_width(self, size, pattern):
+        rng = np.random.default_rng(size)
+        for batch in range(1, WORD_WIDTH + 1):
+            below = np.uint64(2**batch - 1)
+            lanes = {
+                "ones": np.full(size, ~np.uint64(0)),
+                "zeros": np.zeros(size, dtype=np.uint64),
+                # random lanes under every-bit-set lanes at and above batch
+                "above_batch": rng.integers(0, 2**64, size=size, dtype=np.uint64) | ~below,
+            }[pattern]
+            bits = np.unpackbits(lanes.astype("<u8").view(np.uint8), bitorder="little")
+            expected = bits.reshape(size, WORD_WIDTH)[:, :batch].sum(axis=0)
+            assert lane_popcounts(lanes, batch).tolist() == expected.tolist(), batch
+
 
 class TestBatchedRootStats:
     @pytest.mark.parametrize("d,n,f", [(2, 6, 4), (2, 6, 20), (3, 3, 2), (4, 4, 10)])
@@ -120,10 +138,11 @@ class TestBatchedRootStats:
     def test_no_faults_full_graph(self):
         codec = get_codec(2, 5)
         lanes = np.zeros(codec.size, dtype=np.uint64)
-        stats = batched_root_stats(codec, lanes, 1, 8)
-        assert stats.root_dead == 0
-        assert (stats.sizes == 32).all()
-        assert (stats.eccs == 5).all()  # B(2,n) has diameter n
+        for batch in (8, WORD_WIDTH):  # every lane visited: no word left to count
+            stats = batched_root_stats(codec, lanes, 1, batch)
+            assert stats.root_dead == 0
+            assert (stats.sizes == 32).all()
+            assert (stats.eccs == 5).all()  # B(2,n) has diameter n
 
     def test_all_roots_dead_short_circuits(self):
         codec = get_codec(2, 4)
@@ -219,6 +238,10 @@ def _case(topology, case, batch, seed):
     return pack_fault_lanes(topology, codes), root
 
 
+def _stats(stats):
+    return stats.sizes.tolist(), stats.eccs.tolist(), stats.root_dead, stats.levels
+
+
 @pytest.mark.parametrize("key,d,n", BACKENDS)
 class TestEveryBackend:
     @pytest.mark.parametrize("batch", WIDTHS)
@@ -245,6 +268,19 @@ class TestEveryBackend:
             )
         if case == "dead_roots":
             assert stats.root_dead & 1  # lane 0 always removes its root
+
+    def test_reused_workspace_matches_a_fresh_one(self, key, d, n):
+        topology = get_topology(key, d, n)
+        workspace = BatchWorkspace(topology.num_nodes)
+        # an earlier launch with other lanes and roots leaves every buffer dirty
+        batched_root_stats(topology, *_case(topology, "per_lane_roots", 64, 1), 64,
+                           workspace=workspace)
+        for case in CASES:
+            for batch in (9, WORD_WIDTH):  # both lane counters
+                lanes, root = _case(topology, case, batch, seed=2)
+                reused = batched_root_stats(topology, lanes, root, batch, workspace=workspace)
+                fresh = batched_root_stats(topology, lanes, root, batch)
+                assert _stats(reused) == _stats(fresh), (case, batch)
 
     def test_cases_run_both_level_kinds(self, key, d, n):
         topology = get_topology(key, d, n)
@@ -284,3 +320,42 @@ class TestEveryBackend:
         for col in topology.predecessor_columns:
             real = col != nodes
             assert (succ[col[real]] == nodes[real, None]).any(axis=1).all()
+
+
+# -- the De Bruijn shift pull ----------------------------------------------------
+
+
+class GatherOnly:
+    """A source exposing only the tables every backend has, so the kernel
+    takes its gather form: ``size``, ``predecessor_columns`` and
+    ``successor_table``, without ``predecessor_shift``."""
+
+    def __init__(self, source):
+        self.size = source.size
+        self.predecessor_columns = source.predecessor_columns
+        self.successor_table = source.successor_table
+
+
+@pytest.mark.parametrize("d,n", [(2, 9), (3, 6), (4, 5), (5, 4)])
+class TestShiftPull:
+    def test_declared_shift_is_the_predecessor_columns(self, d, n):
+        codec = get_codec(d, n)
+        topology = get_topology("debruijn", d, n)
+        assert codec.predecessor_shift == topology.predecessor_shift == d
+        nodes = np.arange(codec.size)
+        for a, col in enumerate(codec.predecessor_columns):
+            assert (col == a * (codec.size // d) + nodes // d).all()
+        assert not hasattr(get_topology("undirected_debruijn", d, n), "predecessor_shift")
+
+    @pytest.mark.parametrize("batch", WIDTHS)
+    def test_equals_the_gather_form(self, d, n, batch):
+        topology = get_topology("debruijn", d, n)
+        gather_only = GatherOnly(topology)
+        kinds = ""
+        for case in CASES:
+            lanes, root = _case(topology, case, batch, seed=batch)
+            expected = _stats(batched_root_stats(gather_only, lanes, root, batch))
+            for source in (topology, get_codec(d, n)):
+                assert _stats(batched_root_stats(source, lanes, root, batch)) == expected
+            kinds += _dense_reference(topology, lanes, root, batch)[4]
+        assert {"s", "D"} <= set(kinds)  # both level kinds met both pull forms

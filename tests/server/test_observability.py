@@ -138,8 +138,9 @@ class TestRequestTracing:
         (record,) = [json.loads(line) for line in jsonl.splitlines()]
         assert record["trace_id"] == answer["trace_id"]
         stages = [span["stage"] for span in record["spans"]]
-        # a cold measure crosses at least gateway -> queue -> kernel -> reply
-        assert {"gateway", "queue", "kernel", "reply"} <= set(stages)
+        # a cold measure crosses gateway -> mask -> queue -> kernel -> reply
+        assert {"gateway", "mask", "queue", "kernel", "reply"} <= set(stages)
+        assert stages.index("gateway") < stages.index("mask") < stages.index("queue")
         assert len(set(stages)) >= 4
         # the spans tile the request: their sum accounts for the bulk of the
         # reported wall time (scheduler hand-off gaps are the remainder)
