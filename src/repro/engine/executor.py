@@ -19,8 +19,9 @@ Three entry shapes cover every caller:
 
 * **seeded trials** (:meth:`run_trial` / :meth:`run_trials_batch` /
   :meth:`measure_chunk`) — the Tables 2.1/2.2 sweep path: each trial samples
-  its own fault set from its own ``SeedSequence`` stream, up to 64 trials
-  per bit-parallel launch, bit-for-bit identical at any batch width;
+  its own fault set from its own ``SeedSequence`` stream (drawn row-wide),
+  up to 64 trials per bit-parallel launch, bit-for-bit identical at any
+  batch width;
 * **explicit masks** (:meth:`measure_mask_with_root`)
   — one removed-node mask, one measurement, including the neighbouring-root
   fallback (an explicit fault *set* is normalised to its mask by
@@ -55,7 +56,7 @@ from ..graphs.msbfs import (
     pack_fault_lanes,
     pack_mask_lanes,
 )
-from ..network.faults import sample_code_batch, sample_fault_codes
+from ..network.faults import sample_fault_codes, sample_pool_codes, trial_pools
 from ..obs import DEFAULT_REGISTRY
 from ..obs.tracing import Trace
 from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
@@ -168,25 +169,29 @@ class KernelExecutor:
         """Run up to 64 trials in one bit-parallel sweep; results in trial order.
 
         Each element of ``seed_seqs`` seeds one trial's private stream
-        (the engine passes ``SeedSequence(seed, spawn_key=(f, t))``), and
-        fault sampling stays strictly per-trial, so every returned pair is
+        (the engine's seed tree is ``SeedSequence(seed, spawn_key=(f, t))``),
+        and fault sampling stays strictly per-trial, so every returned pair is
         bit-for-bit what :meth:`run_trial` yields for the same stream — the
         kernel only changes how the ``(component size, eccentricity)``
-        measurements are carried out.  Trials whose root lands in a faulty
-        necklace are peeled out of the packed sweep and measured by the
-        scalar fallback (:meth:`measure_mask_with_root`), including the paper's
-        neighbouring-root rule and the all-nodes-removed ``(0, 0)`` case.
+        measurements are carried out.
         """
         batch = len(seed_seqs)
         if not 1 <= batch <= WORD_WIDTH:
             raise InvalidParameterError(
                 f"batch size must be in 1..{WORD_WIDTH}, got {batch}"
             )
-        rngs = [np.random.default_rng(seq) for seq in seed_seqs]
-        codes = sample_code_batch(self.topology.num_nodes, f, rngs)
+        return self._run_pools(f, np.stack([seq.pool for seq in seed_seqs]), root)
+
+    def _run_pools(self, f: int, pools: np.ndarray, root: int | None) -> list[tuple[int, int]]:
+        """:meth:`run_trials_batch` on the streams' SeedSequence pools.
+
+        Trials whose root lands in a faulty necklace are peeled onto the
+        lane-packed fallback (:meth:`_batched_fallbacks`).
+        """
+        codes = sample_pool_codes(self.topology.num_nodes, f, pools)
         lanes = pack_fault_lanes(self.topology, codes)
         root = self._root(root)
-        stats = self._launch(lanes, root, batch)
+        stats = self._launch(lanes, root, len(pools))
         results = list(zip(stats.sizes.tolist(), stats.eccs.tolist()))
         dead = stats.dead_trials()
         for t, stat in self._batched_fallbacks(lanes, dead, root).items():
@@ -196,39 +201,41 @@ class KernelExecutor:
     def measure_chunk(
         self,
         f: int,
-        items: Sequence[tuple[int, np.random.SeedSequence]],
+        seed: int,
+        trials: Sequence[int],
         batch: int,
         root: int | None = None,
     ) -> list[tuple[int, int, int]]:
-        """Measure one chunk of trials, ``batch`` at a time: ``(t, size, ecc)`` list.
+        """Measure trials ``trials`` of the seeded row ``(seed, f)``: ``(t, size, ecc)`` list.
 
+        Trial ``t`` draws from ``SeedSequence(seed, spawn_key=(f, t))``.
         This is the one batch-vs-scalar dispatch heuristic in the codebase:
         ``batch=1`` takes the scalar per-trial path; ``batch>1`` packs up to
         ``batch`` trials per bit-parallel kernel call, with remnants
         narrower than :data:`MIN_KERNEL_BATCH` falling back to the scalar
         path (an explicitly small ``batch`` setting is honoured).  Which
         trials share a kernel call is irrelevant to the results — every
-        trial's samples come from its own SeedSequence stream — so serial
-        runs, resumed runs with scattered holes and worker shards all
-        produce identical measurements.
+        trial's samples come from its own stream — so serial runs, resumed
+        runs with scattered holes and worker shards all produce identical
+        measurements.
         """
+
+        def scalar(t: int) -> tuple[int, int, int]:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(f, t)))
+            return (t, *self.run_trial(f, rng, root))
+
         if batch <= 1:
-            return [
-                (t, *self.run_trial(f, np.random.default_rng(seq), root))
-                for t, seq in items
-            ]
+            return [scalar(t) for t in trials]
+        pools = trial_pools(seed, f, trials)
         out: list[tuple[int, int, int]] = []
         min_kernel = min(self.MIN_KERNEL_BATCH, batch)
-        for start in range(0, len(items), batch):
-            part = items[start : start + batch]
+        for start in range(0, len(trials), batch):
+            part = trials[start : start + batch]
             if len(part) < min_kernel:
-                out.extend(
-                    (t, *self.run_trial(f, np.random.default_rng(seq), root))
-                    for t, seq in part
-                )
+                out.extend(scalar(t) for t in part)
                 continue
-            stats = self.run_trials_batch(f, [seq for _, seq in part], root)
-            out.extend((t, size, ecc) for (t, _), (size, ecc) in zip(part, stats))
+            stats = self._run_pools(f, pools[start : start + batch], root)
+            out.extend((t, size, ecc) for t, (size, ecc) in zip(part, stats))
         return out
 
     # -- explicit masks --------------------------------------------------------

@@ -18,12 +18,13 @@ process: trial ``t`` of the row with fault count ``f`` always draws from
 ``numpy.random.default_rng(SeedSequence(seed, spawn_key=(f, t)))``
 
 — the child that ``SeedSequence(seed).spawn(f + 1)[f].spawn(t + 1)[t]``
-would produce, constructed directly — so neither the assignment of trials
-to workers, the order in which shards finish, nor how trials are grouped
-into bit-parallel measurement batches can change any sample.  Rows are
-measured up to 64 trials per BFS sweep (:mod:`repro.graphs.msbfs`);
-``batch=1`` falls back to the scalar per-trial path with, again, identical
-results.
+would produce, computed row-wide by :func:`~repro.network.faults.trial_pools`
+and :func:`~repro.network.faults.sample_pool_codes` — so neither the
+assignment of trials to workers, the order in which shards finish, nor how
+trials are grouped into bit-parallel measurement batches can change any
+sample.  Rows are measured up to 64 trials per BFS sweep
+(:mod:`repro.graphs.msbfs`); ``batch=1`` falls back to the scalar per-trial
+path with, again, identical results.
 Keying the spawn tree by *fault count* rather than row position has a
 second dividend: a row's stream is independent of which other rows are
 swept, so ``fault_counts=(5,)`` alone reproduces the ``f=5`` row of a full
@@ -64,6 +65,7 @@ from ..exceptions import (
 from ..graphs.msbfs import WORD_WIDTH
 from ..obs import DEFAULT_REGISTRY
 from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
+from ..words.alphabet import integers
 from ..analysis.fault_simulation import PAPER_FAULT_COUNTS, FaultSimulationRow
 from .executor import KernelExecutor, cached_executor
 
@@ -133,16 +135,16 @@ def _run_shard(
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Worker entry point: run one shard of trials for one fault count.
 
-    ``payload`` is ``(topology, d, n, root_code, f, items, batch)`` with
-    ``items`` a list of ``(trial_index, SeedSequence)`` pairs.  The
+    ``payload`` is ``(topology, d, n, root_code, f, seed, trials, batch)``
+    with ``trials`` the shard's trial indices of the row ``(seed, f)``.  The
     per-process executor is shared across shards via the bounded executor
     cache, so backend tables are built once per worker regardless of shard
     count; the batch-vs-scalar dispatch lives in
     :meth:`~repro.engine.executor.KernelExecutor.measure_chunk`.
     """
-    topology, d, n, root_code, f, items, batch = payload
+    topology, d, n, root_code, f, seed, trials, batch = payload
     executor = cached_executor(d, n, topology)
-    return f, executor.measure_chunk(f, items, batch, root_code)
+    return f, executor.measure_chunk(f, seed, trials, batch, root_code)
 
 
 class _Checkpoint:
@@ -329,30 +331,31 @@ class ParallelSweepEngine:
             raise InvalidParameterError("fault counts must be >= 0")
         if trials < 1:
             raise InvalidParameterError("at least one trial is required")
+        (seed,) = integers((seed,), "seed")
+        if seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {seed}")
 
         checkpoint = self._checkpoint(rows, trials, seed)
         completed: dict[tuple[int, int], tuple[int, int]] = {}
         if checkpoint is not None and resume:
             completed = checkpoint.load_completed()
 
-        unique_fs = list(dict.fromkeys(rows))
-        seeds = dict(zip(unique_fs, trial_seed_sequences(seed, unique_fs, trials)))
-        pending = [
-            (f, t)
-            for f in unique_fs
-            for t in range(trials)
-            if (f, t) not in completed
-        ]
-        total = len(unique_fs) * trials
+        # the missing trial indices of each row, in ascending order
+        pending = {
+            f: [t for t in range(trials) if (f, t) not in completed]
+            for f in dict.fromkeys(rows)
+        }
+        total = len(pending) * trials
+        todo = sum(map(len, pending.values()))
 
-        if pending:
+        if todo:
             self._run_started = time.perf_counter()
-            self._run_initial_done = total - len(pending)
+            self._run_initial_done = total - todo
             try:
                 if self.workers > 1:
-                    self._run_parallel(seeds, pending, completed, total, checkpoint)
+                    self._run_parallel(seed, pending, completed, total, checkpoint)
                 else:
-                    self._run_serial(seeds, pending, completed, total, checkpoint)
+                    self._run_serial(seed, pending, completed, total, checkpoint)
             finally:
                 # Flush whatever finished, even on the way out through an
                 # exception/interrupt — that is what makes resume exact.
@@ -364,8 +367,8 @@ class ParallelSweepEngine:
     # -- execution modes ------------------------------------------------------
     def _run_serial(
         self,
-        seeds: dict[int, list[np.random.SeedSequence]],
-        pending: list[tuple[int, int]],
+        seed: int,
+        pending: dict[int, list[int]],
         completed: dict[tuple[int, int], tuple[int, int]],
         total: int,
         checkpoint: _Checkpoint | None,
@@ -374,15 +377,12 @@ class ParallelSweepEngine:
             executor = cached_executor(self.d, self.n, self.topology)
         else:
             executor = KernelExecutor(self.d, self.n, self._topology)
-        by_f: dict[int, list[int]] = {}
-        for f, t in pending:
-            by_f.setdefault(f, []).append(t)
-        done = total - len(pending)
+        done = self._run_initial_done
         since_flush = 0
-        for f, ts in by_f.items():
+        for f, ts in pending.items():
             for start in range(0, len(ts), self.batch):
-                items = [(t, seeds[f][t]) for t in ts[start : start + self.batch]]
-                results = executor.measure_chunk(f, items, self.batch, self._root_code)
+                part = ts[start : start + self.batch]
+                results = executor.measure_chunk(f, seed, part, self.batch, self._root_code)
                 for t, size, ecc in results:
                     completed[(f, t)] = (size, ecc)
                 self._obs_trials.inc(len(results))
@@ -398,8 +398,8 @@ class ParallelSweepEngine:
 
     def _run_parallel(
         self,
-        seeds: dict[int, list[np.random.SeedSequence]],
-        pending: list[tuple[int, int]],
+        seed: int,
+        pending: dict[int, list[int]],
         completed: dict[tuple[int, int], tuple[int, int]],
         total: int,
         checkpoint: _Checkpoint | None,
@@ -413,23 +413,21 @@ class ParallelSweepEngine:
                 f"registered backend for key {self.topology!r}; register it "
                 f"(repro.topology.register_topology) or run with workers=None"
             )
-        by_f: dict[int, list[int]] = {}
-        for f, t in pending:
-            by_f.setdefault(f, []).append(t)
         shards = []
-        for f, ts in by_f.items():
+        for f, ts in pending.items():
             shard_size = max(1, math.ceil(len(ts) / (self.workers * _SHARDS_PER_WORKER)))
             if self.batch > 1:
                 # align shards to batch boundaries so the kernel runs full
                 # 64-trial words wherever possible
                 shard_size = math.ceil(shard_size / self.batch) * self.batch
             for start in range(0, len(ts), shard_size):
-                items = [(t, seeds[f][t]) for t in ts[start : start + shard_size]]
+                part = ts[start : start + shard_size]
                 shards.append(
-                    (self.topology, self.d, self.n, self._root_code, f, items, self.batch)
+                    (self.topology, self.d, self.n, self._root_code, f, seed, part,
+                     self.batch)
                 )
 
-        done = total - len(pending)
+        done = self._run_initial_done
         since_flush = 0
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = {pool.submit(_run_shard, shard) for shard in shards}

@@ -10,7 +10,6 @@ motivates disjoint Hamiltonian cycles in Chapter 3.
 
 from .faults import (
     sample_edge_faults,
-    sample_fault_code_batch,
     sample_node_fault_codes,
     sample_node_faults,
 )
@@ -28,7 +27,6 @@ from .simulator import SimulationResult, SynchronousDeBruijnNetwork
 
 __all__ = [
     "sample_edge_faults",
-    "sample_fault_code_batch",
     "sample_node_fault_codes",
     "sample_node_faults",
     "Message",

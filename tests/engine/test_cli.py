@@ -263,6 +263,17 @@ class TestDomainErrors:
         assert err.startswith("repro sweep:") and "different sweep" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--d", "2", "--n", "5", "--fault-counts", "1", "--trials", "2"],
+        ["experiment", "table_2_1", "--trials", "2"],
+    ], ids=["sweep", "experiment"])
+    def test_negative_seed_is_a_one_line_diagnostic(self, argv, capsys):
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}:") and "seed" in err
+        assert "Traceback" not in err
+
+
 class TestFreshFlag:
     def test_corrupt_checkpoint_diagnosed_then_fresh_recovers(self, tmp_path, capsys):
         path = str(tmp_path / "ck.json")

@@ -120,11 +120,11 @@ class TestInstrumentation:
 class TestMeasureChunk:
     def test_scalar_and_kernel_dispatch_agree(self):
         executor = KernelExecutor(2, 6)
-        seqs = [np.random.SeedSequence(0, spawn_key=(3, t)) for t in range(20)]
-        items = list(enumerate(seqs))
-        scalar = executor.measure_chunk(3, items, batch=1)
-        batched = executor.measure_chunk(3, items, batch=64)
+        trials = [0, 1, 2, 5, 6, 7, 11, 40, 41, 64, 65, 66, 67, 68, 70, 71, 72, 80, 90, 99]
+        scalar = executor.measure_chunk(3, 0, trials, batch=1)
+        batched = executor.measure_chunk(3, 0, trials, batch=64)
         assert scalar == batched
+        assert [t for t, _, _ in batched] == trials
 
     def test_narrow_remnant_takes_scalar_path_with_identical_results(self):
         # a chunk narrower than the batch but at least MIN_KERNEL_BATCH wide
@@ -134,10 +134,9 @@ class TestMeasureChunk:
         executor = KernelExecutor(2, 6)
         floor = KernelExecutor.MIN_KERNEL_BATCH
         for width in (floor - 1, floor, 20):
-            seqs = [np.random.SeedSequence(1, spawn_key=(2, t)) for t in range(width)]
-            items = list(enumerate(seqs))
-            assert executor.measure_chunk(2, items, batch=64) == executor.measure_chunk(
-                2, items, batch=1
+            trials = range(width)
+            assert executor.measure_chunk(2, 1, trials, batch=64) == executor.measure_chunk(
+                2, 1, trials, batch=1
             )
 
 

@@ -263,6 +263,11 @@ class TestProgressAndValidation:
         with pytest.raises(InvalidParameterError):
             ParallelSweepEngine(2, 5).run((1,), trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_negative_or_non_integral_seed_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            ParallelSweepEngine(2, 5).run((1,), trials=2, seed=seed)
+
 
 class TestCheckpointCorruption:
     """Corrupt checkpoint files surface as CheckpointCorruptionError —
