@@ -9,49 +9,44 @@ the gateway survives injected failures (:mod:`~repro.churn.chaos`), and the
 scenario driver (:mod:`~repro.churn.scenario`) replays it all while holding
 every streamed answer to the offline batch recomputation, bit for bit.
 
-Import discipline: :mod:`repro.server.gateway` imports
-:mod:`repro.churn.chaos`, so nothing imported at this package's top level
-may import :mod:`repro.server` back — :mod:`~repro.churn.scenario` (which
-drives a live gateway through the server clients) is therefore imported
-lazily via ``__getattr__``.
+Symbols are loaded lazily (PEP 562): :mod:`repro.server.gateway` imports
+:mod:`repro.churn.chaos`, and a serving process must not pay for the trace
+generators or the scenario driver (which imports :mod:`repro.server` back)
+just to reach it.
 """
-
-from __future__ import annotations
 
 from typing import Any
 
-from .chaos import CHAOS_KINDS, ChaosConfig, ChaosDecision, ChaosInjector
-from .generators import GENERATORS, generate_trace
-from .trace import (
-    TRACE_SCHEMA,
-    ChurnEvent,
-    ChurnTrace,
-    loads_trace,
-    read_trace,
-    write_trace,
-)
+_LAZY = {
+    "TRACE_SCHEMA": "trace",
+    "ChurnEvent": "trace",
+    "ChurnTrace": "trace",
+    "read_trace": "trace",
+    "write_trace": "trace",
+    "loads_trace": "trace",
+    "GENERATORS": "generators",
+    "generate_trace": "generators",
+    "CHAOS_KINDS": "chaos",
+    "ChaosConfig": "chaos",
+    "ChaosDecision": "chaos",
+    "ChaosInjector": "chaos",
+    "ScenarioReport": "scenario",
+    "run_scenario": "scenario",
+}
 
-__all__ = [
-    "TRACE_SCHEMA",
-    "ChurnEvent",
-    "ChurnTrace",
-    "read_trace",
-    "write_trace",
-    "loads_trace",
-    "GENERATORS",
-    "generate_trace",
-    "CHAOS_KINDS",
-    "ChaosConfig",
-    "ChaosDecision",
-    "ChaosInjector",
-    "ScenarioReport",
-    "run_scenario",
-]
+__all__ = list(_LAZY)
 
 
 def __getattr__(name: str) -> Any:
-    if name in ("ScenarioReport", "run_scenario"):
-        from . import scenario
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(scenario, name)
+        module = import_module(f".{_LAZY[name]}", __name__)
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

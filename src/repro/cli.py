@@ -65,8 +65,6 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .analysis.experiments import available_experiments, run_experiment_result
-from .analysis.reporting import format_fault_table, format_fault_table_csv
 from .exceptions import ReproError
 from .topology import available_topologies
 from ._version import __version__
@@ -305,6 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- subcommand implementations ------------------------------------------------
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .analysis.experiments import available_experiments, run_experiment_result
+
     names = available_experiments()
     if args.list:
         print("\n".join(names))
@@ -348,6 +348,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.fault_simulation import PAPER_FAULT_COUNTS
+    from .analysis.reporting import format_fault_table, format_fault_table_csv
     from .engine.sweep import ParallelSweepEngine, SweepProgress
     from .topology import get_topology
 
@@ -491,7 +492,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
-    from .churn import generate_trace, read_trace, run_scenario, write_trace
+    from .churn.generators import generate_trace
+    from .churn.scenario import run_scenario
+    from .churn.trace import read_trace, write_trace
     from .exceptions import ScenarioMismatchError
 
     if args.churn_command == "gen":

@@ -10,139 +10,89 @@
 * :mod:`repro.core.counting` — necklace counting (Chapter 4).
 * :mod:`repro.core.bounds` — ψ(d), φ(d) and every closed-form guarantee the
   paper tabulates.
+
+Symbols are loaded lazily (PEP 562): the serving path reaches only
+:mod:`repro.core.ffc`, and must not pay for Chapter 3 on the way.
 """
 
-from .bounds import (
-    binary_single_fault_bound,
-    disjoint_hc_upper_bound,
-    edge_fault_phi,
-    edge_fault_tolerance,
-    hypercube_vs_debruijn,
-    node_fault_cycle_bound,
-    psi,
-    psi_prime_power,
-    strategy_for_prime,
-    table_3_1,
-    table_3_2,
-    worst_case_fault_placement,
-)
-from .counting import (
-    brute_force_necklace_count,
-    count_from_gamma,
-    count_necklaces_by_type,
-    count_necklaces_by_type_total,
-    count_necklaces_by_weight,
-    count_necklaces_by_weight_total,
-    count_necklaces_of_length,
-    count_necklaces_total,
-    dary_tuples_of_weight,
-    total_from_gamma,
-)
-from .disjoint_hc import (
-    PrimePowerHCFamily,
-    conflict_function,
-    cycles_conflict,
-    disjoint_hamiltonian_cycles,
-    disjoint_hamiltonian_cycles_prime_power,
-    maximal_cycle_shifts,
-    shifted_hamiltonian_cycle,
-    verify_pairwise_disjoint,
-)
-from .edge_faults import (
-    butterfly_disjoint_hamiltonian_cycles,
-    butterfly_edge_fault_free_hc,
-    edge_fault_free_hc_composite,
-    edge_fault_free_hc_prime_power,
-    find_edge_fault_free_hc,
-    normalize_edge_faults,
-    project_butterfly_edge,
-)
-from .ffc import (
-    FaultFreeCycleResult,
-    find_fault_free_cycle,
-    guaranteed_cycle_length,
-    necklaces_visited_in_order,
-)
-from .hamiltonian_decomposition import HamiltonianDecomposition, modified_debruijn_decomposition
-from .necklace_graph import (
-    BStar,
-    ModifiedTree,
-    NecklaceAdjacencyGraph,
-    SpanningTree,
-    build_bstar,
-)
-from .ring_embedding import RingEmbedding, embedding_congestion, embedding_dilation
-from .sequences import (
-    de_bruijn_sequence,
-    decompose_rees_edge,
-    edges_of_sequence,
-    is_cycle_sequence,
-    is_hamiltonian_sequence,
-    nodes_of_sequence,
-    rees_composition,
-    sequence_of_cycle,
-    sequences_edge_disjoint,
-)
+from typing import Any
 
-__all__ = [
-    "binary_single_fault_bound",
-    "disjoint_hc_upper_bound",
-    "edge_fault_phi",
-    "edge_fault_tolerance",
-    "hypercube_vs_debruijn",
-    "node_fault_cycle_bound",
-    "psi",
-    "psi_prime_power",
-    "strategy_for_prime",
-    "table_3_1",
-    "table_3_2",
-    "worst_case_fault_placement",
-    "brute_force_necklace_count",
-    "count_from_gamma",
-    "count_necklaces_by_type",
-    "count_necklaces_by_type_total",
-    "count_necklaces_by_weight",
-    "count_necklaces_by_weight_total",
-    "count_necklaces_of_length",
-    "count_necklaces_total",
-    "dary_tuples_of_weight",
-    "total_from_gamma",
-    "PrimePowerHCFamily",
-    "conflict_function",
-    "cycles_conflict",
-    "disjoint_hamiltonian_cycles",
-    "disjoint_hamiltonian_cycles_prime_power",
-    "maximal_cycle_shifts",
-    "shifted_hamiltonian_cycle",
-    "verify_pairwise_disjoint",
-    "butterfly_disjoint_hamiltonian_cycles",
-    "butterfly_edge_fault_free_hc",
-    "edge_fault_free_hc_composite",
-    "edge_fault_free_hc_prime_power",
-    "find_edge_fault_free_hc",
-    "normalize_edge_faults",
-    "project_butterfly_edge",
-    "FaultFreeCycleResult",
-    "find_fault_free_cycle",
-    "guaranteed_cycle_length",
-    "necklaces_visited_in_order",
-    "HamiltonianDecomposition",
-    "modified_debruijn_decomposition",
-    "BStar",
-    "ModifiedTree",
-    "NecklaceAdjacencyGraph",
-    "SpanningTree",
-    "build_bstar",
-    "RingEmbedding",
-    "embedding_congestion",
-    "embedding_dilation",
-    "de_bruijn_sequence",
-    "decompose_rees_edge",
-    "edges_of_sequence",
-    "is_cycle_sequence",
-    "is_hamiltonian_sequence",
-    "nodes_of_sequence",
-    "rees_composition",
-    "sequence_of_cycle",
-    "sequences_edge_disjoint",
-]
+_LAZY = {
+    "binary_single_fault_bound": "bounds",
+    "disjoint_hc_upper_bound": "bounds",
+    "edge_fault_phi": "bounds",
+    "edge_fault_tolerance": "bounds",
+    "hypercube_vs_debruijn": "bounds",
+    "node_fault_cycle_bound": "bounds",
+    "psi": "bounds",
+    "psi_prime_power": "bounds",
+    "strategy_for_prime": "bounds",
+    "table_3_1": "bounds",
+    "table_3_2": "bounds",
+    "worst_case_fault_placement": "bounds",
+    "brute_force_necklace_count": "counting",
+    "count_from_gamma": "counting",
+    "count_necklaces_by_type": "counting",
+    "count_necklaces_by_type_total": "counting",
+    "count_necklaces_by_weight": "counting",
+    "count_necklaces_by_weight_total": "counting",
+    "count_necklaces_of_length": "counting",
+    "count_necklaces_total": "counting",
+    "dary_tuples_of_weight": "counting",
+    "total_from_gamma": "counting",
+    "PrimePowerHCFamily": "disjoint_hc",
+    "conflict_function": "disjoint_hc",
+    "cycles_conflict": "disjoint_hc",
+    "disjoint_hamiltonian_cycles": "disjoint_hc",
+    "disjoint_hamiltonian_cycles_prime_power": "disjoint_hc",
+    "maximal_cycle_shifts": "disjoint_hc",
+    "shifted_hamiltonian_cycle": "disjoint_hc",
+    "verify_pairwise_disjoint": "disjoint_hc",
+    "butterfly_disjoint_hamiltonian_cycles": "edge_faults",
+    "butterfly_edge_fault_free_hc": "edge_faults",
+    "edge_fault_free_hc_composite": "edge_faults",
+    "edge_fault_free_hc_prime_power": "edge_faults",
+    "find_edge_fault_free_hc": "edge_faults",
+    "normalize_edge_faults": "edge_faults",
+    "project_butterfly_edge": "edge_faults",
+    "FaultFreeCycleResult": "ffc",
+    "find_fault_free_cycle": "ffc",
+    "guaranteed_cycle_length": "ffc",
+    "necklaces_visited_in_order": "ffc",
+    "HamiltonianDecomposition": "hamiltonian_decomposition",
+    "modified_debruijn_decomposition": "hamiltonian_decomposition",
+    "BStar": "necklace_graph",
+    "ModifiedTree": "necklace_graph",
+    "NecklaceAdjacencyGraph": "necklace_graph",
+    "SpanningTree": "necklace_graph",
+    "build_bstar": "necklace_graph",
+    "RingEmbedding": "ring_embedding",
+    "embedding_congestion": "ring_embedding",
+    "embedding_dilation": "ring_embedding",
+    "de_bruijn_sequence": "sequences",
+    "decompose_rees_edge": "sequences",
+    "edges_of_sequence": "sequences",
+    "is_cycle_sequence": "sequences",
+    "is_hamiltonian_sequence": "sequences",
+    "nodes_of_sequence": "sequences",
+    "rees_composition": "sequences",
+    "sequence_of_cycle": "sequences",
+    "sequences_edge_disjoint": "sequences",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        from importlib import import_module
+
+        module = import_module(f".{_LAZY[name]}", __name__)
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
+import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..gf.field import GF
@@ -68,16 +68,6 @@ class HamiltonianDecomposition:
             out.extend((cycle[i], cycle[(i + 1) % k]) for i in range(k))
         return out
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Return ``MB(d, n)`` as a networkx MultiDiGraph (cycle index as edge key)."""
-        g = nx.MultiDiGraph()
-        for idx, cycle in enumerate(self.cycles):
-            g.add_nodes_from(cycle)
-            k = len(cycle)
-            for i in range(k):
-                g.add_edge(cycle[i], cycle[(i + 1) % k], key=idx)
-        return g
-
     # -- verification -------------------------------------------------------------
     def is_decomposition(self) -> bool:
         """Check the defining properties of a Hamiltonian decomposition of ``MB(d, n)``.
@@ -112,12 +102,18 @@ class HamiltonianDecomposition:
 
     def is_regular(self) -> bool:
         """Check that every node of ``MB(d, n)`` has indegree and outdegree ``d``."""
-        g = self.to_networkx()
-        if g.number_of_nodes() != self.d**self.n:
+        index: dict[Word, int] = {}
+        tails: list[int] = []
+        heads: list[int] = []
+        for cycle in self.cycles:
+            codes = [index.setdefault(w, len(index)) for w in cycle]
+            tails += codes
+            heads += codes[1:] + codes[:1]
+        if len(index) != self.d**self.n:
             return False
-        return all(deg == self.d for _, deg in g.in_degree()) and all(
-            deg == self.d for _, deg in g.out_degree()
-        )
+        out_degree = np.bincount(tails, minlength=len(index))
+        in_degree = np.bincount(heads, minlength=len(index))
+        return bool((out_degree == self.d).all() and (in_degree == self.d).all())
 
     def undirected_contains_ub(self) -> bool:
         """Check that ``UMB(d, n)`` contains ``UB(d, n)`` as a subgraph.

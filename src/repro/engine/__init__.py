@@ -32,24 +32,6 @@ from typing import Any
 
 from .cache import CacheStats, LRUCache
 
-__all__ = [
-    "CacheStats",
-    "LRUCache",
-    "cache_stats",
-    "clear_caches",
-    "register_cache",
-    "unregister_cache",
-    "KernelExecutor",
-    "cached_executor",
-    "EmbeddingRequest",
-    "EmbeddingResponse",
-    "MeasureResponse",
-    "EmbeddingService",
-    "ParallelSweepEngine",
-    "SweepProgress",
-    "trial_seed_sequences",
-]
-
 _LAZY = {
     "cache_stats": "caches",
     "clear_caches": "caches",
@@ -65,6 +47,8 @@ _LAZY = {
     "SweepProgress": "sweep",
     "trial_seed_sequences": "sweep",
 }
+
+__all__ = ["CacheStats", "LRUCache", *_LAZY]
 
 
 def __getattr__(name: str) -> Any:

@@ -6,79 +6,62 @@ subpackage provides everything needed to realise those constructions exactly:
 prime/prime-power decomposition, primitive roots and the quadratic character
 of 2 (Lemma 3.5), extension-field arithmetic, primitive-polynomial search and
 shift-register sequence generation.
+
+Symbols are loaded lazily (PEP 562), like the other package façades.
 """
 
-from .field import GF, ExtensionField, GaloisField, PrimeField
-from .lfsr import (
-    AffineRecurrence,
-    LinearRecurrence,
-    default_maximal_cycle_recurrence,
-    maximal_cycle,
-    sequence_period,
-    shifted_cycle,
-)
-from .modular import (
-    as_prime_power,
-    divisors,
-    euler_phi,
-    is_prime,
-    is_prime_power,
-    is_primitive_root,
-    is_quadratic_residue,
-    legendre_symbol,
-    lemma_3_5_conditions,
-    mobius,
-    multiplicative_order,
-    prime_factorization,
-    prime_power_decomposition,
-    primitive_root,
-    primitive_roots,
-    two_as_odd_power,
-    two_as_odd_power_sum,
-)
-from .poly import Poly
-from .primitive import (
-    find_irreducible,
-    find_primitive_polynomial,
-    is_irreducible,
-    is_primitive,
-    polynomial_order,
-    primitive_polynomial_coefficients,
-)
+from typing import Any
 
-__all__ = [
-    "GF",
-    "ExtensionField",
-    "GaloisField",
-    "PrimeField",
-    "AffineRecurrence",
-    "LinearRecurrence",
-    "default_maximal_cycle_recurrence",
-    "maximal_cycle",
-    "sequence_period",
-    "shifted_cycle",
-    "as_prime_power",
-    "divisors",
-    "euler_phi",
-    "is_prime",
-    "is_prime_power",
-    "is_primitive_root",
-    "is_quadratic_residue",
-    "legendre_symbol",
-    "lemma_3_5_conditions",
-    "mobius",
-    "multiplicative_order",
-    "prime_factorization",
-    "prime_power_decomposition",
-    "primitive_root",
-    "primitive_roots",
-    "two_as_odd_power",
-    "two_as_odd_power_sum",
-    "Poly",
-    "find_irreducible",
-    "find_primitive_polynomial",
-    "is_irreducible",
-    "is_primitive",
-    "polynomial_order",
-    "primitive_polynomial_coefficients",
-]
+_LAZY = {
+    "GF": "field",
+    "ExtensionField": "field",
+    "GaloisField": "field",
+    "PrimeField": "field",
+    "AffineRecurrence": "lfsr",
+    "LinearRecurrence": "lfsr",
+    "default_maximal_cycle_recurrence": "lfsr",
+    "maximal_cycle": "lfsr",
+    "sequence_period": "lfsr",
+    "shifted_cycle": "lfsr",
+    "as_prime_power": "modular",
+    "divisors": "modular",
+    "euler_phi": "modular",
+    "is_prime": "modular",
+    "is_prime_power": "modular",
+    "is_primitive_root": "modular",
+    "is_quadratic_residue": "modular",
+    "legendre_symbol": "modular",
+    "lemma_3_5_conditions": "modular",
+    "mobius": "modular",
+    "multiplicative_order": "modular",
+    "prime_factorization": "modular",
+    "prime_power_decomposition": "modular",
+    "primitive_root": "modular",
+    "primitive_roots": "modular",
+    "two_as_odd_power": "modular",
+    "two_as_odd_power_sum": "modular",
+    "Poly": "poly",
+    "find_irreducible": "primitive",
+    "find_primitive_polynomial": "primitive",
+    "is_irreducible": "primitive",
+    "is_primitive": "primitive",
+    "polynomial_order": "primitive",
+    "primitive_polynomial_coefficients": "primitive",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        from importlib import import_module
+
+        module = import_module(f".{_LAZY[name]}", __name__)
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

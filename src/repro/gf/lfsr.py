@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..exceptions import InvalidParameterError
 from .field import GF, GaloisField
 from .poly import Poly
-from .primitive import find_primitive_polynomial, is_primitive
+from .primitive import is_primitive, primitive_polynomial_coefficients
 
 __all__ = [
     "AffineRecurrence",
@@ -153,11 +153,10 @@ def default_maximal_cycle_recurrence(d: int, n: int) -> LinearRecurrence:
     Deterministically picks the lexicographically smallest primitive
     polynomial of degree ``n`` over ``GF(d)`` so that every component of the
     library (disjoint HCs, edge-fault embedding, benchmarks) agrees on the
-    same maximal cycle.
+    same maximal cycle.  The polynomial search is cached per ``(d, n)``
+    (:func:`~repro.gf.primitive.primitive_polynomial_coefficients`).
     """
-    field = GF(d)
-    poly = find_primitive_polynomial(field, n)
-    return LinearRecurrence(field, poly.recurrence_coefficients())
+    return LinearRecurrence(GF(d), primitive_polynomial_coefficients(d, n))
 
 
 def maximal_cycle(

@@ -5,101 +5,73 @@ wrapped butterfly ``F(d, n)`` with its De Bruijn quotient, the hypercube
 ``Q(n)`` comparison baseline, the Kautz and shuffle-exchange relatives, the
 line-graph correspondence used by the paper's optimality argument and fast
 vectorized component/eccentricity analysis of faulty graphs.
+
+Symbols are loaded lazily (PEP 562), so importing one model does not
+import every other.
 """
 
-from .butterfly import ButterflyGraph, ButterflyNode, debruijn_node_class, lift_cycle, lift_edge
-from .components import (
-    ComponentStats,
-    ResidualGraph,
-    bfs_levels,
-    bfs_levels_table,
-    component_of,
-    component_sizes,
-    component_stats_from_root,
-    diameter,
-    eccentricity,
-    residual_after_node_faults,
-    strongly_connected_components,
-    weakly_connected_components,
-)
-from .msbfs import (
-    WORD_WIDTH,
-    BatchStats,
-    batched_root_stats,
-    lane_popcounts,
-    lane_removed_mask,
-    pack_fault_lanes,
-)
-from .debruijn import (
-    DeBruijnGraph,
-    edge_label,
-    is_debruijn_edge,
-    predecessor_matrix,
-    predecessors,
-    successor_matrix,
-    successors,
-)
-from .hypercube import (
-    HypercubeGraph,
-    fault_free_cycle_bound,
-    gray_code_cycle,
-    longest_fault_free_cycle_bruteforce,
-)
-from .kautz import KautzGraph
-from .line_graph import (
-    circuit_to_cycle,
-    cycle_to_circuit,
-    is_balanced_after_removal,
-    is_circuit,
-    lower_edge_to_node,
-    node_to_lower_edge,
-)
-from .shuffle_exchange import ShuffleExchangeGraph
-from .undirected import UndirectedDeBruijnGraph, degree_census
+from typing import Any
 
-__all__ = [
-    "ButterflyGraph",
-    "ButterflyNode",
-    "debruijn_node_class",
-    "lift_cycle",
-    "lift_edge",
-    "ComponentStats",
-    "ResidualGraph",
-    "bfs_levels",
-    "bfs_levels_table",
-    "component_of",
-    "component_sizes",
-    "component_stats_from_root",
-    "diameter",
-    "eccentricity",
-    "residual_after_node_faults",
-    "strongly_connected_components",
-    "weakly_connected_components",
-    "WORD_WIDTH",
-    "BatchStats",
-    "batched_root_stats",
-    "lane_popcounts",
-    "lane_removed_mask",
-    "pack_fault_lanes",
-    "DeBruijnGraph",
-    "edge_label",
-    "is_debruijn_edge",
-    "predecessor_matrix",
-    "predecessors",
-    "successor_matrix",
-    "successors",
-    "HypercubeGraph",
-    "fault_free_cycle_bound",
-    "gray_code_cycle",
-    "longest_fault_free_cycle_bruteforce",
-    "KautzGraph",
-    "circuit_to_cycle",
-    "cycle_to_circuit",
-    "is_balanced_after_removal",
-    "is_circuit",
-    "lower_edge_to_node",
-    "node_to_lower_edge",
-    "ShuffleExchangeGraph",
-    "UndirectedDeBruijnGraph",
-    "degree_census",
-]
+_LAZY = {
+    "ButterflyGraph": "butterfly",
+    "ButterflyNode": "butterfly",
+    "debruijn_node_class": "butterfly",
+    "lift_cycle": "butterfly",
+    "lift_edge": "butterfly",
+    "ComponentStats": "components",
+    "ResidualGraph": "components",
+    "bfs_levels": "components",
+    "bfs_levels_table": "components",
+    "component_of": "components",
+    "component_sizes": "components",
+    "component_stats_from_root": "components",
+    "diameter": "components",
+    "eccentricity": "components",
+    "residual_after_node_faults": "components",
+    "strongly_connected_components": "components",
+    "weakly_connected_components": "components",
+    "WORD_WIDTH": "msbfs",
+    "BatchStats": "msbfs",
+    "batched_root_stats": "msbfs",
+    "lane_popcounts": "msbfs",
+    "lane_removed_mask": "msbfs",
+    "pack_fault_lanes": "msbfs",
+    "DeBruijnGraph": "debruijn",
+    "edge_label": "debruijn",
+    "is_debruijn_edge": "debruijn",
+    "predecessor_matrix": "debruijn",
+    "predecessors": "debruijn",
+    "successor_matrix": "debruijn",
+    "successors": "debruijn",
+    "HypercubeGraph": "hypercube",
+    "fault_free_cycle_bound": "hypercube",
+    "gray_code_cycle": "hypercube",
+    "longest_fault_free_cycle_bruteforce": "hypercube",
+    "KautzGraph": "kautz",
+    "circuit_to_cycle": "line_graph",
+    "cycle_to_circuit": "line_graph",
+    "is_balanced_after_removal": "line_graph",
+    "is_circuit": "line_graph",
+    "lower_edge_to_node": "line_graph",
+    "node_to_lower_edge": "line_graph",
+    "ShuffleExchangeGraph": "shuffle_exchange",
+    "UndirectedDeBruijnGraph": "undirected",
+    "degree_census": "undirected",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        from importlib import import_module
+
+        module = import_module(f".{_LAZY[name]}", __name__)
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -20,8 +20,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from math import lcm
 
-import networkx as nx
-
 from ..exceptions import InvalidParameterError
 from ..words.alphabet import Word, validate_alphabet, validate_word
 from ..words.rotation import rotate_right
@@ -193,10 +191,3 @@ class ButterflyGraph:
     def lift_cycle(self, cycle: Sequence[Sequence[int]]) -> list[ButterflyNode]:
         """Lift a De Bruijn cycle into this butterfly (see :func:`lift_cycle`)."""
         return lift_cycle(cycle, self.d)
-
-    # -- conversions ---------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes())
-        g.add_edges_from(self.edges())
-        return g

@@ -20,9 +20,8 @@ Two access styles are provided, mirroring the package-wide convention:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import InvalidParameterError
@@ -274,33 +273,6 @@ class DeBruijnGraph:
     def is_hamiltonian_cycle(self, nodes: Sequence[Sequence[int]]) -> bool:
         """Return True iff ``nodes`` is a Hamiltonian cycle of ``B(d, n)``."""
         return len(nodes) == self.num_nodes and self.is_cycle(nodes)
-
-    # -- conversions ------------------------------------------------------------------
-    def to_networkx(self, remove_loops: bool = False) -> nx.DiGraph:
-        """Return the graph as a :class:`networkx.DiGraph` (tuple-encoded nodes)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes())
-        for src, dst in self.edges():
-            if remove_loops and src == dst:
-                continue
-            g.add_edge(src, dst)
-        return g
-
-    def subgraph_without(self, removed: Iterable[Sequence[int]]) -> nx.DiGraph:
-        """Return the networkx digraph of ``B(d, n)`` minus a set of nodes.
-
-        This is the "faulty graph" of Chapter 2: the removed nodes (typically
-        full necklaces) disappear along with all their incident edges.
-        """
-        removed_set = {validate_word(w, self.d) for w in removed}
-        g = nx.DiGraph()
-        for w in self.nodes():
-            if w not in removed_set:
-                g.add_node(w)
-        for src, dst in self.edges():
-            if src not in removed_set and dst not in removed_set:
-                g.add_edge(src, dst)
-        return g
 
     # -- internals -----------------------------------------------------------------------
     def _check_length(self, w: Word) -> None:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from ..exceptions import InvalidParameterError
 
 __all__ = [
@@ -105,12 +103,6 @@ class HypercubeGraph:
     def hamiltonian_cycle(self) -> list[int]:
         """Return the Gray-code Hamiltonian cycle."""
         return gray_code_cycle(self.n)
-
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes())
-        g.add_edges_from(self.edges())
-        return g
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-import networkx as nx
-
 from ..exceptions import InvalidParameterError
 from ..words.alphabet import Word, validate_alphabet
 
@@ -101,9 +99,3 @@ class KautzGraph:
             return False
         closed = checked + [checked[0]]
         return all(self.has_edge(a, b) for a, b in zip(closed, closed[1:]))
-
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes())
-        g.add_edges_from(self.edges())
-        return g

@@ -410,6 +410,11 @@ def batched_root_stats(
             if np.count_nonzero(frontier) * degree <= sparse_limit:
                 active = np.flatnonzero(frontier)
         gains.append(gained)
+        if len(gains) >= size:
+            # every level reaches a node new to some lane, so a BFS over
+            # `size` nodes ends within `size - 1` levels; more means the
+            # level state is corrupt, and the loop would never end
+            raise RuntimeError(f"BFS passed {size - 1} levels on a {size}-node graph")
     if gains:
         # eccentricity of lane t = deepest level whose gained-word set bit t
         # (levels are 1-based; lanes never gaining stay at 0)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-import networkx as nx
-
 from ..exceptions import InvalidParameterError
 from ..words.alphabet import Word, validate_alphabet, validate_word
 from ..words.rotation import rotate_left
@@ -66,17 +64,6 @@ class ShuffleExchangeGraph:
         result = {rotate_left(w), rotate_left(w, self.n - 1)} | set(self.exchange_neighbors(w))
         result.discard(w)
         return sorted(result)
-
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes())
-        for w in self.nodes():
-            shuffled = rotate_left(w)
-            if shuffled != w:
-                g.add_edge(w, shuffled)
-            for other in self.exchange_neighbors(w):
-                g.add_edge(w, other)
-        return g
 
     def necklace_edges(self) -> Iterator[tuple[Word, Word]]:
         """Iterate over the shuffle (necklace) edges only."""

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-import networkx as nx
+import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..words.alphabet import Word, validate_word
-from .debruijn import DeBruijnGraph
+from .components import ResidualGraph, component_of
+from .debruijn import DeBruijnGraph, predecessor_matrix, successor_matrix
 
 __all__ = ["UndirectedDeBruijnGraph", "degree_census"]
 
@@ -47,66 +48,77 @@ def degree_census(d: int, n: int) -> dict[int, int]:
 class UndirectedDeBruijnGraph:
     """The undirected De Bruijn graph ``UB(d, n)``.
 
-    The graph is materialised as a :class:`networkx.Graph` on construction
-    (unlike :class:`~repro.graphs.debruijn.DeBruijnGraph` it has no simple
-    arithmetic edge rule once loops are dropped and parallel edges merged),
-    which is fine for the sizes the paper studies.
+    The adjacency is held as code arrays in CSR form, built from the
+    ``(d**n, 2d)`` successor/predecessor concatenation (the gather table of
+    the ``undirected_debruijn`` topology) by dropping each row's self-entries
+    (deleted loops) and duplicates (merged parallel edges).  Nodes are
+    listed in code order.
     """
 
     def __init__(self, d: int, n: int) -> None:
         self.directed = DeBruijnGraph(d, n)
         self.d = self.directed.d
         self.n = self.directed.n
-        g = nx.Graph()
-        g.add_nodes_from(self.directed.nodes())
-        for src, dst in self.directed.edges():
-            if src != dst:  # delete loops
-                g.add_edge(src, dst)  # orientation dropped, parallels merged
-        self._graph = g
+        self._codec = self.directed.codec
+        rows = np.sort(np.hstack([successor_matrix(d, n), predecessor_matrix(d, n)]), axis=1)
+        keep = rows != np.arange(len(rows))[:, None]
+        keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+        self._degrees = keep.sum(axis=1)
+        self._indptr = np.concatenate(([0], np.cumsum(self._degrees)))
+        self._indices = rows[keep]
 
     # -- census ---------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._degrees)
 
     @property
     def num_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return int(self._degrees.sum()) // 2
 
     def degree(self, word: Sequence[int]) -> int:
         """Return the degree of a node in ``UB(d, n)``."""
-        w = validate_word(word, self.d)
-        if w not in self._graph:
-            raise InvalidParameterError(f"{w} is not a node of UB({self.d},{self.n})")
-        return self._graph.degree(w)
+        return int(self._degrees[self._code(word)])
 
     def degree_census(self) -> dict[int, int]:
         """Return the measured degree census ``{degree: node count}``."""
-        census: dict[int, int] = {}
-        for _, deg in self._graph.degree():
-            census[deg] = census.get(deg, 0) + 1
-        return census
+        degrees, counts = np.unique(self._degrees, return_counts=True)
+        return dict(zip(degrees.tolist(), counts.tolist()))
 
     # -- structure -----------------------------------------------------------
     def nodes(self) -> Iterator[Word]:
-        return iter(self._graph.nodes())
+        return (self._codec.decode(x) for x in range(self.num_nodes))
 
     def edges(self) -> Iterator[tuple[Word, Word]]:
-        return iter(self._graph.edges())
+        """Each edge once, as ``(a, b)`` with ``a`` before ``b`` in code order."""
+        for x in range(self.num_nodes):
+            for y in self._row(x):
+                if x < y:
+                    yield self._codec.decode(x), self._codec.decode(y)
 
     def has_edge(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        return self._graph.has_edge(tuple(a), tuple(b))
+        try:
+            x, y = self._code(a), self._code(b)
+        except InvalidParameterError:
+            return False
+        return y in self._row(x)
 
     def neighbors(self, word: Sequence[int]) -> list[Word]:
-        w = validate_word(word, self.d)
-        return list(self._graph.neighbors(w))
+        return [self._codec.decode(y) for y in self._row(self._code(word))]
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self._graph)
+        everyone = ResidualGraph(self.d, self.n, np.zeros(self.num_nodes, dtype=bool))
+        return len(component_of(everyone, 0)) == self.num_nodes
 
-    def to_networkx(self) -> nx.Graph:
-        """Return a copy of the underlying :class:`networkx.Graph`."""
-        return self._graph.copy()
+    # -- internals -----------------------------------------------------------
+    def _code(self, word: Sequence[int]) -> int:
+        w = validate_word(word, self.d)
+        if len(w) != self.n:
+            raise InvalidParameterError(f"{w} is not a node of UB({self.d},{self.n})")
+        return self._codec.encode(w)
+
+    def _row(self, x: int) -> list[int]:
+        return self._indices[self._indptr[x] : self._indptr[x + 1]].tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UndirectedDeBruijnGraph(d={self.d}, n={self.n})"

@@ -26,15 +26,6 @@ cheap for callers that only want one piece.
 
 from typing import Any
 
-__all__ = [
-    "BatchingGateway",
-    "GatewayConfig",
-    "MicroBatcher",
-    "QueueFullError",
-    "ServeClient",
-    "AsyncServeClient",
-]
-
 _LAZY = {
     "BatchingGateway": "gateway",
     "GatewayConfig": "gateway",
@@ -43,6 +34,8 @@ _LAZY = {
     "ServeClient": "client",
     "AsyncServeClient": "client",
 }
+
+__all__ = list(_LAZY)
 
 
 def __getattr__(name: str) -> Any:

@@ -1,6 +1,7 @@
 """Tests for edge-fault embedding (3.3), butterfly transfer (3.4), MB decomposition
 (3.2.3) and necklace counting (Chapter 4)."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.core import (
 from repro.exceptions import FaultBudgetExceededError, InvalidParameterError
 from repro.graphs import ButterflyGraph, DeBruijnGraph
 from repro.words import iter_words, weight
+from oracles.networkx_graphs import to_networkx
 
 
 class TestNormalizeEdgeFaults:
@@ -170,6 +172,25 @@ class TestHamiltonianDecomposition:
         assert dec.is_decomposition()
         assert dec.is_regular()
         assert dec.undirected_contains_ub()
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (5, 2)])
+    def test_is_regular_matches_networkx_degrees(self, d, n):
+        dec = modified_debruijn_decomposition(d, n)
+        first = dec.cycles[0]
+        broken = [
+            dec,
+            dataclasses.replace(dec, cycles=dec.cycles[1:]),  # a cycle short
+            dataclasses.replace(dec, cycles=(first[1:] + first[:1],) + dec.cycles[1:]),
+            dataclasses.replace(dec, cycles=(first[:-1] + first[:1],) + dec.cycles[1:]),
+            dataclasses.replace(dec, cycles=(first[:-1],) + dec.cycles[1:]),
+        ]
+        for candidate in broken:
+            g = to_networkx(candidate)
+            expected = g.number_of_nodes() == d**n and all(
+                deg == d for _, deg in [*g.in_degree(), *g.out_degree()]
+            )
+            assert candidate.is_regular() == expected
+        assert [c.is_regular() for c in broken] == [True, False, True, False, False]
 
     def test_edge_disjoint_for_n_at_least_3(self):
         for d, n in [(2, 3), (3, 3), (5, 3)]:

@@ -201,3 +201,34 @@ class TestSequencePeriod:
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
     def test_period_divides_length(self, seq):
         assert len(seq) % sequence_period(seq) == 0
+
+
+class TestDefaultRecurrence:
+    # the lexicographically smallest primitive polynomial of degree n over
+    # GF(d), as recurrence coefficients (a_0, ..., a_{n-1})
+    PINNED = {
+        (2, 1): (1,), (2, 2): (1, 1), (2, 3): (1, 0, 1), (2, 4): (1, 0, 0, 1),
+        (2, 5): (1, 0, 0, 1, 0), (2, 6): (1, 0, 0, 0, 0, 1),
+        (3, 1): (2,), (3, 2): (1, 2), (3, 3): (2, 0, 1), (3, 4): (1, 0, 0, 2),
+        (3, 5): (2, 0, 0, 0, 1),
+        (4, 1): (2,), (4, 2): (2, 1), (4, 3): (2, 1, 1), (4, 4): (2, 0, 1, 1),
+        (5, 1): (3,), (5, 2): (3, 4), (5, 3): (3, 0, 4), (5, 4): (3, 0, 3, 4),
+        (7, 1): (5,), (7, 2): (4, 6), (7, 3): (5, 6, 6),
+        (8, 1): (2,), (8, 2): (2, 1), (8, 3): (2, 0, 2),
+        (9, 1): (8,), (9, 2): (8, 6),
+    }
+
+    @pytest.mark.parametrize("d,n", sorted(PINNED))
+    def test_coefficients_pinned(self, d, n):
+        rec = default_maximal_cycle_recurrence(d, n)
+        assert rec.field.order == d
+        assert tuple(rec.coeffs) == self.PINNED[(d, n)]
+
+    def test_repeat_call_is_a_cache_hit(self):
+        from repro.gf.primitive import primitive_polynomial_coefficients
+
+        default_maximal_cycle_recurrence(4, 3)
+        before = primitive_polynomial_coefficients.cache_info()
+        default_maximal_cycle_recurrence(4, 3)
+        after = primitive_polynomial_coefficients.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

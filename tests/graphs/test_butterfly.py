@@ -12,6 +12,7 @@ from repro.graphs import (
     lift_cycle,
     lift_edge,
 )
+from oracles.networkx_graphs import to_networkx
 
 
 class TestButterflyStructure:
@@ -61,7 +62,7 @@ class TestButterflyStructure:
 
     def test_to_networkx(self):
         f = ButterflyGraph(2, 2)
-        g = f.to_networkx()
+        g = to_networkx(f)
         assert g.number_of_nodes() == 8
         assert g.number_of_edges() == 16
 

@@ -26,6 +26,7 @@ from repro.graphs import (
     weakly_connected_components,
 )
 from repro.words import word_to_int
+from oracles.networkx_graphs import subgraph_without
 
 
 class TestResidualConstruction:
@@ -98,7 +99,7 @@ class TestBFS:
         removed = set()
         for nk in faulty_necklaces(faults, d):
             removed |= nk.node_set
-        sub = g.subgraph_without(removed)
+        sub = subgraph_without(g, removed)
         root_word = (0, 0, 0, 0, 1)
         root = word_to_int(root_word, d)
         dist = bfs_levels(r, root, direction="out")

@@ -16,6 +16,7 @@ from repro.graphs import (
     successors,
 )
 from repro.words import int_to_word, word_to_int
+from oracles.networkx_graphs import subgraph_without, to_networkx
 
 small_dn = st.tuples(st.integers(2, 4), st.integers(1, 5))
 
@@ -213,16 +214,16 @@ class TestCycleVerification:
 class TestConversions:
     def test_to_networkx_counts(self):
         g = DeBruijnGraph(2, 3)
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         assert nxg.number_of_nodes() == 8
         assert nxg.number_of_edges() == 16
-        no_loops = g.to_networkx(remove_loops=True)
+        no_loops = to_networkx(g, remove_loops=True)
         assert no_loops.number_of_edges() == 14
 
     def test_subgraph_without_nodes(self):
         g = DeBruijnGraph(3, 3)
         removed = [(0, 2, 0), (2, 0, 0), (0, 0, 2)]
-        sub = g.subgraph_without(removed)
+        sub = subgraph_without(g, removed)
         assert sub.number_of_nodes() == 24
         assert all(w not in sub for w in removed)
         for src, dst in sub.edges():

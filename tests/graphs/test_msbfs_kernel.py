@@ -359,3 +359,46 @@ class TestShiftPull:
                 assert _stats(batched_root_stats(source, lanes, root, batch)) == expected
             kinds += _dense_reference(topology, lanes, root, batch)[4]
         assert {"s", "D"} <= set(kinds)  # both level kinds met both pull forms
+
+
+class _Ring:
+    """A directed ring ``x -> x + 1``: its BFS from 0 takes ``size - 1`` levels."""
+
+    def __init__(self, size):
+        self.size = size
+        codes = np.arange(size, dtype=np.int64)
+        self.successor_table = ((codes + 1) % size)[:, None]
+        self.predecessor_columns = ((codes - 1) % size,)
+
+
+class _LostVisitedMarks:
+    """numpy, except that the XOR marking a level's nodes visited does nothing."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def bitwise_xor(a, b, out=None):
+        return out
+
+
+class TestLevelBound:
+    """The level loop stops at ``size`` levels instead of running forever.
+
+    Every level reaches a node new to some lane, so no source, consistent or
+    not, takes more than ``size - 1`` levels; only corrupt kernel state can,
+    as when a level's nodes are never marked visited.
+    """
+
+    def test_longest_bfs_is_within_the_bound(self):
+        ring = _Ring(64)
+        stats = batched_root_stats(ring, np.zeros(64, dtype=np.uint64), 0, 1)
+        assert (stats.levels, int(stats.eccs[0]), int(stats.sizes[0])) == (63, 63, 64)
+
+    def test_lost_visited_marks_raise_instead_of_hanging(self, monkeypatch):
+        import repro.graphs.msbfs as msbfs
+
+        codec = get_codec(2, 4)  # dense levels: 16 nodes, degree 2
+        monkeypatch.setattr(msbfs, "np", _LostVisitedMarks())
+        with pytest.raises(RuntimeError, match="passed 15 levels"):
+            batched_root_stats(codec, np.zeros(codec.size, dtype=np.uint64), 1, 4)

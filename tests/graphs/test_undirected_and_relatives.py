@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.graphs import (
+    DeBruijnGraph,
     HypercubeGraph,
     KautzGraph,
     ShuffleExchangeGraph,
@@ -14,6 +15,7 @@ from repro.graphs import (
     gray_code_cycle,
     longest_fault_free_cycle_bruteforce,
 )
+from oracles.networkx_graphs import to_networkx
 
 
 class TestUndirectedDeBruijn:
@@ -45,12 +47,24 @@ class TestUndirectedDeBruijn:
 
     def test_no_loops(self):
         g = UndirectedDeBruijnGraph(2, 4)
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         assert nx.number_of_selfloops(nxg) == 0
 
     def test_connected(self):
         for d, n in [(2, 3), (2, 5), (3, 3)]:
             assert UndirectedDeBruijnGraph(d, n).is_connected()
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 4), (3, 3), (4, 2)])
+    def test_adjacency_matches_networkx_oracle(self, d, n):
+        g = UndirectedDeBruijnGraph(d, n)
+        oracle = to_networkx(DeBruijnGraph(d, n), remove_loops=True).to_undirected()
+        assert list(g.nodes()) == list(oracle.nodes())
+        assert {frozenset(e) for e in g.edges()} == {frozenset(e) for e in oracle.edges()}
+        assert g.num_edges == oracle.number_of_edges()
+        for w in oracle.nodes():
+            assert sorted(g.neighbors(w)) == sorted(oracle.neighbors(w))
+            assert g.degree(w) == oracle.degree(w)
+        assert g.is_connected() == nx.is_connected(oracle)
 
     def test_edges_subset_of_directed(self):
         g = UndirectedDeBruijnGraph(2, 3)
@@ -117,7 +131,7 @@ class TestKautz:
 
     def test_to_networkx(self):
         k = KautzGraph(2, 2)
-        g = k.to_networkx()
+        g = to_networkx(k)
         assert g.number_of_nodes() == 6
         assert g.number_of_edges() == 12
 
@@ -143,7 +157,7 @@ class TestShuffleExchange:
 
     def test_binary_graph_is_connected(self):
         se = ShuffleExchangeGraph(2, 4)
-        assert nx.is_connected(se.to_networkx())
+        assert nx.is_connected(to_networkx(se))
 
     def test_necklace_edges_are_rotations(self):
         se = ShuffleExchangeGraph(2, 4)

@@ -26,6 +26,7 @@ from repro.engine.executor import KernelExecutor
 from repro.exceptions import CheckpointMismatchError
 from repro.graphs.msbfs import pack_mask_lanes
 from repro.topology import get_topology
+from oracles.networkx_graphs import to_networkx
 
 SWEPT = ("debruijn", "kautz", "hypercube", "shuffle_exchange", "undirected_debruijn")
 FAULT_COUNTS = (0, 1, 3, 6)
@@ -85,7 +86,7 @@ class TestExecutorAgainstNetworkx:
             removed = topo.fault_unit_mask(codes)
             if removed[executor.root_code]:
                 continue  # fallback semantics tested separately
-            g = KautzGraph(2, 4).to_networkx()
+            g = to_networkx(KautzGraph(2, 4))
             g.remove_nodes_from(
                 [topo.decode(int(c)) for c in np.flatnonzero(removed)]
             )
@@ -102,7 +103,7 @@ class TestExecutorAgainstNetworkx:
             removed = executor.topology.fault_unit_mask(codes)
             if removed[executor.root_code]:
                 continue
-            g = HypercubeGraph(4).to_networkx()
+            g = to_networkx(HypercubeGraph(4))
             g.remove_nodes_from(np.flatnonzero(removed).tolist())
             expected = self._reference_measure(g, executor.root_code)
             assert executor.measure_mask_with_root(removed)[:2] == expected
@@ -118,7 +119,7 @@ class TestExecutorAgainstNetworkx:
             removed = topo.fault_unit_mask(codes)
             if removed[executor.root_code]:
                 continue
-            g = ShuffleExchangeGraph(2, 4).to_networkx()
+            g = to_networkx(ShuffleExchangeGraph(2, 4))
             g.remove_nodes_from([topo.decode(int(c)) for c in np.flatnonzero(removed)])
             root_word = topo.decode(executor.root_code)
             if root_word not in g:
