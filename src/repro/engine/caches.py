@@ -9,19 +9,14 @@ bounded (a PR-2 audit capped the formerly unbounded ones), and this module
 is the single place that can enumerate, snapshot and clear them — the
 service layer surfaces it through :meth:`EmbeddingService.stats`.
 
-Imports happen lazily inside the registry function so that importing
-:mod:`repro.engine` does not drag in the whole package.
-
 Registration is the *single* mechanism: every cache owner calls
 :func:`register_cache` at import time next to the cache it defines (the
 REP001 lint rule enforces this for every ``functools.lru_cache`` in the
-tree).  :func:`_registry` merely imports the known cache-owning modules so
-their registrations have run before the audit is enumerated — an audit
-that listed caches statically here drifted twice in past PRs when new
-caches landed without a registry entry.  Registration mutates shared
-module state, and the concurrent server registers/queries from several
-threads, so both the registration dict and its enumeration are guarded by
-one module lock.
+tree).  So the audit lists the caches of every module imported so far; a
+module never imported has empty caches, and the audit imports nothing to
+list them.  Registration mutates shared module state, and the concurrent
+server registers/queries from several threads, so both the registration
+dict and its enumeration are guarded by one module lock.
 """
 
 from __future__ import annotations
@@ -62,21 +57,11 @@ def unregister_cache(name: str) -> None:
 
 
 def _registry() -> dict[str, Any]:
-    """Name -> cache object, for every audited cache in the process.
+    """Name -> cache object, for every cache registered so far.
 
     Values are either :class:`~repro.engine.cache.LRUCache` instances or
-    :func:`functools.lru_cache`-wrapped callables.  The imports below are
-    for their side effect only: each module registers its caches via
-    :func:`register_cache` at import time, so importing them here
-    guarantees the audit is complete even in a process that never touched
-    e.g. the ``gf`` layer.
+    :func:`functools.lru_cache`-wrapped callables.
     """
-    from ..core import bounds  # noqa: F401
-    from ..engine import executor  # noqa: F401
-    from ..gf import field, modular, primitive  # noqa: F401
-    from ..topology import registry  # noqa: F401
-    from ..words import codec  # noqa: F401
-
     with _LOCK:
         return dict(_REGISTERED)
 

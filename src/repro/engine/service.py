@@ -50,10 +50,11 @@ import numpy as np
 from ..core.ffc import find_fault_free_cycle, guaranteed_cycle_length
 from ..exceptions import FaultBudgetExceededError, InvalidParameterError
 from ..obs import MetricsRegistry
-from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
+from ..topology import DEFAULT_TOPOLOGY, Topology
 from ..words.alphabet import Word, integers, validate_word
 from ..words.codec import WordCodec, get_codec
 from .cache import LRUCache
+from .caches import cache_stats, clear_caches
 from .executor import KernelExecutor, cached_executor
 
 __all__ = [
@@ -566,12 +567,12 @@ class EmbeddingService:
         """
         start = time.perf_counter()
         d, n = integers((d, n), "d and n")
-        topo = get_topology(topology, d, n)
+        executor = cached_executor(d, n, topology)
+        topo = executor.topology
         fault_codes = [topo.encode(integers(w, "fault digits")) for w in faults]
         rep_codes = topo.fault_unit_reps(fault_codes)
         root = None if root is None else integers(root, "root digits")
         root_code = topo.default_root_code if root is None else topo.encode(root)
-        executor = cached_executor(topo.d, topo.n, topo.key)
         key = (topo.key, topo.d, topo.n, tuple(rep_codes), root_code)
         return MeasureQuery(
             topo, executor, root_code, fault_codes, rep_codes, key,
@@ -626,8 +627,6 @@ class EmbeddingService:
         (the request/compute latency histograms); the key set is the stable
         ``/stats`` schema and must not change.
         """
-        from .caches import cache_stats  # local import: caches pulls many modules
-
         process_caches = cache_stats()
         requests = sum(
             child.count for child in self._obs_request_seconds.values()
@@ -662,8 +661,6 @@ class EmbeddingService:
         with self._churn_lock:
             self._churn_sessions.clear()
         if include_process_caches:
-            from .caches import clear_caches
-
             clear_caches()
 
     # -- internals -------------------------------------------------------------

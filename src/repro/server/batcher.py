@@ -3,16 +3,16 @@
 One :class:`MicroBatcher` fronts one executor shard, i.e. one
 ``(topology, d, n)``.  Concurrent callers ``await submit(mask, root)``; each
 queued lane carries its own root code, so requests naming different roots
-share a batch.  A single flusher task drains the bounded queue and packs
-everything already queued, up to ``max_batch`` (<= 64) masks, into ONE
-bit-parallel kernel launch
-(:meth:`repro.engine.executor.KernelExecutor.measure_masks_batch`).  The
-flusher is work-conserving: it launches the moment the previous launch
-returns and never holds a batch open on a timer.  Launches run on the
-process-wide kernel pool, so the event loop keeps accepting requests while
-a batch computes — requests arriving during a launch coalesce into the next
-one, which is what keeps occupancy high under load (the HoneyBadgerMPC
-program-runner shape: many concurrent tasks, one shared execution context).
+share a batch.  A launch packs everything already queued, up to
+``max_batch`` (<= 64) masks, into ONE bit-parallel kernel launch
+(:meth:`repro.engine.executor.KernelExecutor.measure_masks_batch`).  A
+launch starts on a submit to an idle shard or when the shard's previous
+launch lands, never on a timer.  Launches run on the process-wide kernel
+pool, so the event loop keeps accepting requests while a batch computes —
+requests arriving during a launch coalesce into the next one, which is what
+keeps occupancy high under load (the HoneyBadgerMPC program-runner shape:
+many concurrent tasks, one shared execution context).  The kernel thread
+hands every answer of a launch back in one ``call_soon_threadsafe`` callback.
 A shard has at most one launch in flight; launches of different graphs run
 side by side, up to one per CPU core, so a slow launch on a large graph does
 not hold up a small graph's requests.
@@ -104,8 +104,8 @@ class MicroBatcher:
         The ``shard`` label value for this batcher's metrics (defaults to
         the executor's topology key).
 
-    Must be used from a running asyncio event loop; the internal queue and
-    flusher task bind to the loop of the first ``submit``.
+    ``submit`` must be awaited on a running asyncio event loop.  The batcher
+    binds to no loop: each launch answers on the loop that sealed it.
     """
 
     def __init__(
@@ -125,8 +125,11 @@ class MicroBatcher:
         self.executor = executor
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
-        self._queue: asyncio.Queue | None = None
-        self._flusher: asyncio.Task | None = None
+        self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_queue)
+        #: a seal is scheduled or a launch is in flight (at most one per shard)
+        self._busy = False
+        #: lanes inside the launch in flight (drain watches this)
+        self._in_flight = 0
         # -- metrics: one child per shard in the owning registry ---------------
         self.registry = registry if registry is not None else MetricsRegistry()
         self.shard = shard if shard is not None else executor.topology_key
@@ -160,8 +163,6 @@ class MicroBatcher:
             "Invalid masks failed individually without poisoning their batch",
             labels,
         ).labels(self.shard)
-        #: lanes currently inside a kernel launch (drain watches this)
-        self._dispatching = 0
 
     # -- submission ------------------------------------------------------------
     async def submit(
@@ -184,15 +185,14 @@ class MicroBatcher:
         ``deadline_s`` bounds the submit-to-answer wait: when it elapses the
         request fails with :class:`~repro.exceptions.DeadlineExceededError`
         and its mask simply *leaves the batch* — coalesced lane-mates are
-        unaffected (the flusher skips expired entries at pack time; a lane
-        already inside a kernel launch completes and its late answer is
+        unaffected (expired entries are skipped when a batch is sealed; a
+        lane already inside a kernel launch completes and its late answer is
         discarded).
         """
         if deadline_s is not None and deadline_s <= 0:
             raise InvalidParameterError(
                 f"deadline_s must be > 0 when given, got {deadline_s}"
             )
-        self._ensure_started()
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         if root is None:
@@ -206,6 +206,11 @@ class MicroBatcher:
             raise QueueFullError(
                 f"shard queue full ({self.max_queue} requests pending)"
             ) from None
+        if not self._busy:
+            # seal on the next loop turn, not here: the rest of a gathered
+            # burst is queued by then and joins this launch
+            self._busy = True
+            loop.call_soon(self._seal)
         if deadline_s is None:
             return await future
         try:
@@ -215,34 +220,18 @@ class MicroBatcher:
 
     def _expired(self, deadline_s: float) -> DeadlineExceededError:
         """Count one missed deadline and build its error: ``submit`` calls it
-        when the wait times out, ``_dispatch`` when it had passed at pack time."""
+        when the wait times out, ``_seal`` when it had passed at pack time."""
         self._obs_expired.inc()
         return DeadlineExceededError(
             f"request missed its {deadline_s * 1e3:.0f} ms deadline "
             f"(shard {self.shard})"
         )
 
-    def _ensure_started(self) -> None:
-        if self._flusher is None or self._flusher.done():
-            self._queue = asyncio.Queue(maxsize=self.max_queue)
-            self._flusher = asyncio.get_running_loop().create_task(self._flush_loop())
-
-    # -- the flusher -----------------------------------------------------------
-    async def _flush_loop(self) -> None:
-        while True:
-            batch = [await self._queue.get()]
-            while len(batch) < self.max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            await self._dispatch(batch)
-
     def _mask_error(self, mask: object) -> str | None:
         """Why ``mask`` cannot join a kernel launch (None when it can).
 
         Per-mask validation is what isolates a poisoned request: one bad
-        mask in a 64-lane flush fails alone instead of propagating its
+        mask in a 64-lane launch fails alone instead of propagating its
         exception to every coalesced neighbour.  Only shape/type problems
         are knowable here; anything deeper still fails the whole launch.
         """
@@ -255,14 +244,20 @@ class MicroBatcher:
             return f"mask shape must be {expected}, got {mask.shape}"
         return None
 
-    async def _dispatch(self, batch: list[_Lane]) -> None:
-        loop = asyncio.get_running_loop()
-        dispatch_start = time.perf_counter()
+    # -- dispatch: seal and land on the loop, run on a kernel thread ------------
+    def _seal(self) -> None:
+        """Pack up to ``max_batch`` live queued lanes into one launch, on the
+        loop.  Cancelled, expired and poisoned lanes leave without one."""
+        sealed = time.perf_counter()
         live: list[_Lane] = []
-        for lane in batch:
+        while len(live) < self.max_batch:
+            try:
+                lane = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
             if lane.future.done():
                 continue  # waiter cancelled (e.g. its wait_for already fired)
-            if lane.deadline_s is not None and dispatch_start - lane.enqueued >= lane.deadline_s:
+            if lane.deadline_s is not None and sealed - lane.enqueued >= lane.deadline_s:
                 # expired while queued: leave the batch, fail only this lane
                 lane.future.set_exception(self._expired(lane.deadline_s))
                 continue
@@ -273,70 +268,77 @@ class MicroBatcher:
                 continue
             if lane.trace is not None:
                 # queue wait: enqueue to the moment its batch was sealed
-                lane.trace.add_span("queue", lane.enqueued, dispatch_start)
+                lane.trace.add_span("queue", lane.enqueued, sealed)
             live.append(lane)
         if not live:
+            self._busy = False
             return
-        self._dispatching = len(live)
+        self._in_flight = len(live)
+        loop = asyncio.get_running_loop()
         try:
-            picked, results, returned = await loop.run_in_executor(
-                _KERNEL_POOL, self._launch, live
+            _KERNEL_POOL.submit(self._run, loop, live, sealed)
+        except RuntimeError as exc:  # the pool is shut down (interpreter exit)
+            loop.call_soon(self._land, live, sealed, exc)
+
+    def _run(self, loop: asyncio.AbstractEventLoop, live: list[_Lane], sealed: float) -> None:
+        """One launch on a kernel thread.  Its answers (or its error) and the
+        moments it started and returned, the hand-off ends of the ``batch``
+        spans, go back to the loop in one callback."""
+        picked = time.perf_counter()
+        try:
+            results = self.executor.measure_masks_batch(
+                [lane.mask for lane in live],
+                roots=[lane.root for lane in live],
+                traces=[lane.trace for lane in live],
             )
-        except Exception as exc:  # surface the failure on every waiter
+            outcome: tuple | Exception = (picked, results, time.perf_counter())
+        except Exception as exc:  # surfaced on every waiter
+            outcome = exc
+        try:
+            loop.call_soon_threadsafe(self._land, live, sealed, outcome)
+        except RuntimeError:  # the loop closed, and its waiters with it
+            self._in_flight, self._busy = 0, False
+
+    def _land(self, live: list[_Lane], sealed: float, outcome: tuple | Exception) -> None:
+        """Answer a finished launch's lanes (on the loop), then seal the next."""
+        self._in_flight = 0
+        if isinstance(outcome, Exception):
             for lane in live:
                 if not lane.future.done():
-                    lane.future.set_exception(exc)
-            return
-        finally:
-            self._dispatching = 0
-        self._obs_launches.inc()
-        self._obs_lanes.inc(len(live))
-        now = time.perf_counter()
-        for lane, result in zip(live, results):
-            self._obs_completed.inc()
-            self._obs_wait_seconds.observe(now - lane.enqueued)
-            if lane.trace is not None:
-                # batch assembly and the hand-offs to and from the kernel
-                # thread: everything of the launch outside the kernel itself
-                lane.trace.add_span("batch", dispatch_start, picked)
-                lane.trace.add_span("batch", returned, now)
-            if not lane.future.done():  # the waiter may have been cancelled
-                lane.future.set_result(result)
-
-    def _launch(self, live: list[_Lane]) -> tuple[float, list[tuple[int, int, int | None]], float]:
-        """One kernel launch on a kernel thread, with the moments it
-        started and returned (the hand-off ends of the ``batch`` spans)."""
-        picked = time.perf_counter()
-        results = self.executor.measure_masks_batch(
-            [lane.mask for lane in live],
-            roots=[lane.root for lane in live],
-            traces=[lane.trace for lane in live],
-        )
-        return picked, results, time.perf_counter()
+                    lane.future.set_exception(outcome)
+        else:
+            picked, results, returned = outcome
+            self._obs_launches.inc()
+            self._obs_lanes.inc(len(live))
+            now = time.perf_counter()
+            for lane, result in zip(live, results):
+                self._obs_completed.inc()
+                self._obs_wait_seconds.observe(now - lane.enqueued)
+                if lane.trace is not None:
+                    # batch assembly and the hand-offs to and from the kernel
+                    # thread: everything of the launch outside the kernel itself
+                    lane.trace.add_span("batch", sealed, picked)
+                    lane.trace.add_span("batch", returned, now)
+                if not lane.future.done():  # the waiter may have been cancelled
+                    lane.future.set_result(result)
+        self._seal()
 
     # -- lifecycle / observability ---------------------------------------------
     async def close(self) -> None:
-        """Cancel the flusher and fail any still-queued waiters.
+        """Fail every still-queued waiter.
 
         Requests caught in the queue at shutdown get a :class:`QueueFullError`
         ("batcher closed") instead of an eternally pending future — a caller
-        awaiting ``submit`` must always resolve.
+        awaiting ``submit`` must always resolve.  A launch already in flight
+        lands and answers its own lanes.
         """
-        if self._flusher is not None:
-            self._flusher.cancel()
+        while True:
             try:
-                await self._flusher
-            except asyncio.CancelledError:
-                pass
-            self._flusher = None
-        if self._queue is not None:
-            while True:
-                try:
-                    future = self._queue.get_nowait().future
-                except asyncio.QueueEmpty:
-                    break
-                if not future.done():
-                    future.set_exception(QueueFullError("batcher closed"))
+                future = self._queue.get_nowait().future
+            except asyncio.QueueEmpty:
+                break
+            if not future.done():
+                future.set_exception(QueueFullError("batcher closed"))
 
     def pending(self) -> int:
         """Requests still in flight: queued plus inside the current launch.
@@ -344,8 +346,7 @@ class MicroBatcher:
         The gateway's graceful drain polls this to know when the shard has
         flushed everything it accepted.
         """
-        queued = self._queue.qsize() if self._queue is not None else 0
-        return queued + self._dispatching
+        return self._queue.qsize() + self._in_flight
 
     def stats(self) -> dict:
         """Batch-occupancy, queue and latency counters of this shard.
@@ -360,7 +361,7 @@ class MicroBatcher:
             # launches are work-conserving: no request waits on a timer
             "max_wait_s": 0.0,
             "max_queue": self.max_queue,
-            "queued": self._queue.qsize() if self._queue is not None else 0,
+            "queued": self._queue.qsize(),
             "launches": launches,
             "lanes": lanes,
             "batch_occupancy": lanes / launches if launches else 0.0,

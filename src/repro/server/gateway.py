@@ -46,17 +46,17 @@ routes:
     the gateway mints a trace id (or adopts a valid ``X-Trace-Id`` header),
     the id is echoed in the response's ``trace_id`` field, and the exported
     spans tile the request — ``gateway`` (parse/normalise/cache lookup),
-    ``queue`` (waiting for the shard's flusher), ``batch`` (assembly and
-    the hand-offs to and from a kernel thread, one span each way),
-    ``kernel`` (the shared launch), ``fallback`` (root-dead peeling, when
-    taken) and ``reply`` (response build).
+    ``queue`` (until the shard seals the request's launch), ``batch``
+    (assembly and the hand-offs to and from a kernel thread, one span each
+    way), ``kernel`` (the shared launch), ``fallback`` (root-dead peeling,
+    when taken) and ``reply`` (response build).
 
 One executor shard — one :class:`MicroBatcher` over one process-wide
 :func:`~repro.engine.executor.cached_executor` — exists per
 ``(topology, d, n)`` served; the root rides per lane, so naming many roots
 adds no shards.  Every shard launches on the one process-wide kernel
-thread, so serving more graphs adds no threads either.  Graphs above
-:data:`~repro.words.codec.MAX_NODES` nodes or
+pool (a thread per core), so serving more graphs adds no threads either.
+Graphs above :data:`~repro.words.codec.MAX_NODES` nodes or
 :data:`~repro.words.codec.MAX_TABLE_ENTRIES` gather-table entries are
 refused with a 400 before any table is built.  Bounded shard queues shed
 load as HTTP 503; malformed requests are 400s, and any other failure is a
@@ -593,7 +593,8 @@ class BatchingGateway:
             await asyncio.sleep(0.02)
 
     async def close(self) -> None:
-        """Stop accepting, cancel shard flushers, release worker threads."""
+        """Stop accepting and fail every shard's queued requests (a launch in
+        flight still answers its own)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

@@ -3,12 +3,15 @@
 import asyncio
 import os
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.engine.executor import KernelExecutor
 from repro.exceptions import InvalidParameterError
+from repro.server import batcher as batcher_module
 from repro.server.batcher import MicroBatcher, QueueFullError, latency_percentiles
 from repro.topology import get_topology
 
@@ -41,7 +44,7 @@ class TestCoalescing:
         results, stats = asyncio.run(main())
         assert list(results) == expected
         assert stats["completed"] == len(masks)
-        # 40 concurrent submits fit one 64-lane batch (modulo flusher races)
+        # 40 concurrent submits fit one 64-lane batch
         assert stats["launches"] < len(masks)
         assert stats["batch_occupancy"] > 1.0
         assert stats["p50_s"] >= 0.0
@@ -227,6 +230,112 @@ class TestBackpressure:
             MicroBatcher(executor, max_queue=0)
 
 
+class TestDispatch:
+    def test_close_lets_the_launch_in_flight_answer_its_lanes(self):
+        executor = KernelExecutor(2, 6)
+        release = threading.Event()
+
+        class HeldExecutor:
+            topology_key = executor.topology_key
+            topology = executor.topology
+            root_code = executor.root_code
+
+            def measure_masks_batch(self, masks, roots, traces):
+                release.wait(timeout=10)
+                return executor.measure_masks_batch(masks, roots, traces)
+
+        mask = np.zeros(executor.topology.num_nodes, dtype=bool)
+
+        async def main():
+            batcher = MicroBatcher(HeldExecutor())
+            waiter = asyncio.ensure_future(batcher.submit(mask))
+            try:
+                await asyncio.sleep(0.05)  # the launch is held on a kernel thread
+                assert batcher.pending() == 1
+                await batcher.close()
+            finally:
+                release.set()
+            answer = await asyncio.wait_for(waiter, timeout=5)
+            return answer, batcher.pending()
+
+        answer, pending = asyncio.run(main())
+        assert answer == executor.measure_mask_with_root(mask)
+        assert pending == 0
+
+    def test_one_batcher_serves_successive_event_loops(self):
+        executor = KernelExecutor(2, 6)
+        batcher = MicroBatcher(executor)
+        masks = _masks(executor, 6, seed=7)
+
+        async def main(chunk):
+            return await asyncio.gather(*[batcher.submit(m) for m in chunk])
+
+        first = asyncio.run(main(masks[:3]))
+        second = asyncio.run(main(masks[3:]))
+        assert list(first) + list(second) == [
+            executor.measure_mask_with_root(m) for m in masks
+        ]
+        assert batcher.stats()["completed"] == len(masks)
+
+    def test_a_launch_outliving_its_loop_frees_the_shard(self):
+        executor = KernelExecutor(2, 6)
+        release = threading.Event()
+
+        class HeldExecutor:
+            topology_key = executor.topology_key
+            topology = executor.topology
+            root_code = executor.root_code
+
+            def measure_masks_batch(self, masks, roots, traces):
+                release.wait(timeout=10)
+                return executor.measure_masks_batch(masks, roots, traces)
+
+        batcher = MicroBatcher(HeldExecutor())
+        mask = np.zeros(executor.topology.num_nodes, dtype=bool)
+
+        async def abandon():
+            asyncio.ensure_future(batcher.submit(mask))
+            await asyncio.sleep(0.05)  # the launch is held on a kernel thread
+
+        async def ask():
+            return await asyncio.wait_for(batcher.submit(mask), timeout=5)
+
+        try:
+            asyncio.run(abandon())  # the loop closes with the launch in flight
+        finally:
+            release.set()
+        for _ in range(500):
+            if not batcher.pending():
+                break
+            time.sleep(0.01)
+        assert batcher.pending() == 0
+        assert asyncio.run(ask()) == executor.measure_mask_with_root(mask)
+
+    def test_each_launch_hands_back_with_one_threadsafe_callback(self):
+        executor = KernelExecutor(2, 6)
+        masks = _masks(executor, 20, seed=8)
+        handbacks = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            schedule = loop.call_soon_threadsafe
+
+            def counted(*args, **kwargs):
+                handbacks.append(threading.current_thread().name)
+                return schedule(*args, **kwargs)
+
+            loop.call_soon_threadsafe = counted
+            batcher = MicroBatcher(executor, max_batch=4)
+            for chunk in (masks[:9], masks[9:]):
+                await asyncio.gather(*[batcher.submit(m) for m in chunk])
+            return batcher.stats()
+
+        stats = asyncio.run(main())
+        assert stats["completed"] == len(masks)
+        assert len(handbacks) == stats["launches"] >= 5
+        assert all(name.startswith("repro-kernel") for name in handbacks)
+
+
 class TestFailurePropagation:
     def test_executor_exception_reaches_every_waiter(self):
         class BrokenExecutor:
@@ -253,6 +362,25 @@ class TestFailurePropagation:
         results = asyncio.run(main())
         assert len(results) == 3
         assert all(isinstance(r, RuntimeError) for r in results)
+
+    def test_a_shut_down_kernel_pool_fails_every_waiter(self, monkeypatch):
+        executor = KernelExecutor(2, 5)
+        pool = ThreadPoolExecutor(1)
+        pool.shutdown()
+        monkeypatch.setattr(batcher_module, "_KERNEL_POOL", pool)
+        masks = _masks(executor, 5, seed=9)
+
+        async def main():
+            batcher = MicroBatcher(executor, max_batch=2)
+            results = await asyncio.wait_for(
+                asyncio.gather(*[batcher.submit(m) for m in masks], return_exceptions=True),
+                timeout=5,
+            )
+            return results, batcher.pending()
+
+        results, pending = asyncio.run(main())
+        assert all(isinstance(r, RuntimeError) for r in results)
+        assert pending == 0
 
 
 class TestLatencyPercentiles:

@@ -42,20 +42,40 @@ NOT_SERVED = (
 )
 
 
-def test_gateway_and_cli_import_only_what_they_serve():
-    code = (
-        "import json, sys\n"
-        "import repro.server.gateway, repro.cli\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+#: modules only their own callers load: the cache audit behind ``/stats``
+#: lists their caches once imported, and never imports them itself
+NOT_AUDITED = (
+    "repro.core.bounds",
+    "repro.gf",
+    "repro.gf.field",
+    "repro.gf.modular",
+    "repro.gf.poly",
+    "repro.gf.primitive",
+)
+
+
+def _loaded_after(statements):
+    code = "import json, sys\n" + statements + "print(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    loaded = set(json.loads(out))
+    return set(json.loads(out))
+
+
+def test_gateway_and_cli_import_only_what_they_serve():
+    loaded = _loaded_after("import repro.server.gateway, repro.cli\n")
     assert "repro.server.gateway" in loaded
     assert not [m for m in NOT_SERVED if m in loaded or any(k.startswith(m + ".") for k in loaded)]
+
+
+def test_stats_imports_nothing_to_audit_caches():
+    loaded = _loaded_after(
+        "from repro.server.gateway import BatchingGateway\n"
+        "assert BatchingGateway().stats()['service']['process_caches']\n"
+    )
+    assert not [m for m in NOT_AUDITED if m in loaded]
 
 
 @pytest.mark.parametrize("name", FACADES)
