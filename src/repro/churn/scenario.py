@@ -34,7 +34,6 @@ import numpy as np
 
 from ..core.ffc import find_fault_free_cycle, guaranteed_cycle_length
 from ..exceptions import FaultBudgetExceededError, ScenarioMismatchError
-from ..topology import get_topology
 from ..words.codec import get_codec
 from .trace import ChurnTrace
 
@@ -121,28 +120,28 @@ class _Oracle:
     def __init__(self, trace: ChurnTrace) -> None:
         from ..engine.executor import cached_executor
 
-        self.topo = get_topology(trace.topology, trace.d, trace.n)
         self.executor = cached_executor(trace.d, trace.n, trace.topology)
         self.embeds = trace.topology == "debruijn"
         self.codec = get_codec(trace.d, trace.n) if self.embeds else None
 
     def measure(self, fault_words: list[tuple[int, ...]]) -> dict:
-        codes = [self.topo.encode(w) for w in fault_words]
-        rep_codes = self.topo.fault_unit_reps(codes)
-        mask = self.topo.fault_unit_mask(np.asarray(codes, dtype=np.int64))
+        topo = self.executor.topology
+        codes = [topo.encode(w) for w in fault_words]
+        rep_codes = topo.fault_unit_reps(codes)
+        mask = topo.fault_unit_mask(np.asarray(codes, dtype=np.int64))
         size, ecc, root = self.executor.measure_mask_with_root(mask)
         f = len(set(codes))
         return {
-            "topology": self.topo.key,
-            "d": self.topo.d,
-            "n": self.topo.n,
+            "topology": topo.key,
+            "d": topo.d,
+            "n": topo.n,
             "faults": [list(w) for w in fault_words],
-            "fault_units": [list(self.topo.decode(int(c))) for c in rep_codes],
-            "root": None if root is None else list(self.topo.decode(root)),
+            "fault_units": [list(topo.decode(int(c))) for c in rep_codes],
+            "root": None if root is None else list(topo.decode(root)),
             "region_size": int(size),
             "root_eccentricity": int(ecc),
-            "reference_size": self.topo.reference_size(f),
-            "guarantee_bound": self.topo.guarantee_bound(f),
+            "reference_size": topo.reference_size(f),
+            "guarantee_bound": topo.guarantee_bound(f),
         }
 
     def embed(self, fault_words: list[tuple[int, ...]]) -> dict:

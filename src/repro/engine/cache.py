@@ -88,28 +88,34 @@ class LRUCache:
     def put(self, key: Hashable, value: Any) -> None:
         """Insert ``key -> value``, evicting the least recently used on overflow."""
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
             self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self._evictions += 1
+            self._data.move_to_end(key)
+            self._trim()
 
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, building it with ``factory`` on a miss.
 
         The factory runs outside the lock (it may be expensive — e.g. codec
-        table construction), so two racing threads may both build; the second
-        insert simply refreshes the entry.  Correctness only requires the
-        factory to be deterministic, which every engine factory is.
+        table construction), so two racing threads may both build.  The
+        first insert wins and every racer returns it, so callers never keep
+        private copies of one entry; a losing build is dropped.
         """
         sentinel = object()
         value = self.get(key, sentinel)
         if value is not sentinel:
             return value
         value = factory()
-        self.put(key, value)
+        with self._lock:
+            value = self._data.setdefault(key, value)
+            self._data.move_to_end(key)
+            self._trim()
         return value
+
+    def _trim(self) -> None:
+        """Evict least recently used entries down to ``maxsize`` (lock held)."""
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self._evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved; see ``reset_counters``)."""

@@ -1,9 +1,9 @@
 """Process-wide cache audit: every bounded cache, one stats/clear surface.
 
 A resident engine process memoises in several places: the codec tables
-(:func:`repro.words.codec.get_codec`), the topology instances
-(:func:`repro.topology.get_topology`), the shared kernel executors
-(:func:`repro.engine.executor.cached_executor`), and the small number-theoretic
+(:func:`repro.words.codec.get_codec`), the shared kernel executors
+(:func:`repro.engine.executor.cached_executor`, the one owner of each served
+graph's topology instance and tables), and the small number-theoretic
 caches under :mod:`repro.gf` and :mod:`repro.core.bounds`.  All of them are
 bounded (a PR-2 audit capped the formerly unbounded ones), and this module
 is the single place that can enumerate, snapshot and clear them — the

@@ -59,11 +59,12 @@ from ..graphs.msbfs import (
 from ..network.faults import sample_fault_codes, sample_pool_codes, trial_pools
 from ..obs import DEFAULT_REGISTRY
 from ..obs.tracing import Trace
-from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
+from ..topology import DEFAULT_TOPOLOGY, get_topology
+from ..words.alphabet import integers
 from .cache import LRUCache
 from .caches import register_cache
 
-__all__ = ["KernelExecutor", "cached_executor"]
+__all__ = ["KernelExecutor", "cached_executor", "is_resident"]
 
 # Process-wide kernel profiling (the register_cache idiom: handles created at
 # import, enumerable through the default registry / the gateway's /metrics).
@@ -106,11 +107,9 @@ class KernelExecutor:
     """Measurement executor for one topology instance, any root.
 
     The default backend is the paper's ``B(d, n)``; any key of the
-    :mod:`repro.topology` registry (or a pre-built
-    :class:`~repro.topology.base.Topology`) selects another network.
-    Construction touches the shared backend instance (cached per
-    ``(topology, d, n)``); every precomputed table — gather columns,
-    fault-unit closure — is then amortised across all launches.  The only
+    :mod:`repro.topology` registry selects another network.  The executor
+    owns its backend instance, so every precomputed table — gather columns,
+    fault-unit closure — is amortised across all its launches.  The only
     mutable state is scratch (the kernel workspace, the per-root
     intact-distance cache), all thread-safe, so one executor can serve
     concurrent callers with any mix of roots.
@@ -128,10 +127,11 @@ class KernelExecutor:
         self,
         d: int,
         n: int,
-        topology: str | Topology = DEFAULT_TOPOLOGY,
+        topology: str = DEFAULT_TOPOLOGY,
     ) -> None:
         self.topology = get_topology(topology, d, n)
-        self.topology_key = self.topology.key
+        #: the registry key: with ``d`` and ``n``, this executor's cache key
+        self.topology_key = str(topology)
         self.d, self.n = self.topology.d, self.topology.n
         #: the measurement root of calls passing ``root=None`` (the paper's ``R``)
         self.root_code = self.topology.default_root_code
@@ -467,8 +467,8 @@ class KernelExecutor:
 
 #: Bounded, observable executor cache: one entry per ``(topology, d, n)``
 #: served; the root is a per-call argument, not part of the key.  Every layer
-#: that needs a shared executor — the sweep engine and its worker processes,
-#: the embedding service (and through it the server's shards) — resolves
+#: that needs a graph's shared executor or tables — the sweep engine and its
+#: worker processes, the embedding service, the server's shards — resolves
 #: through here, so the kernel tables and scratch exist once per process.
 _EXECUTOR_CACHE = LRUCache(maxsize=8, name="engine.kernel_executors")
 register_cache("engine.kernel_executors", _EXECUTOR_CACHE)
@@ -477,15 +477,15 @@ register_cache("engine.kernel_executors", _EXECUTOR_CACHE)
 def cached_executor(
     d: int, n: int, topology: str = DEFAULT_TOPOLOGY
 ) -> KernelExecutor:
-    """The process-wide shared executor for ``(topology, d, n)``."""
-    key = (str(topology), int(d), int(n))
-    topo = get_topology(topology, d, n)
-    executor = _EXECUTOR_CACHE.get_or_create(
-        key, lambda: KernelExecutor(d, n, topology=topo)
+    """The process-wide shared executor for ``(topology, d, n)``; ``d`` and
+    ``n`` must be integer-valued (``2.9`` is refused, not keyed as ``2``)."""
+    d, n = integers((d, n), "d and n")
+    return _EXECUTOR_CACHE.get_or_create(
+        (str(topology), d, n), lambda: KernelExecutor(d, n, topology)
     )
-    if executor.topology is not topo:
-        # the topology LRU evicted and rebuilt the backend since: rebuild on
-        # the registry's instance rather than keep a second copy of its tables
-        executor = KernelExecutor(d, n, topology=topo)
-        _EXECUTOR_CACHE.put(key, executor)
-    return executor
+
+
+def is_resident(executor: KernelExecutor) -> bool:
+    """Whether ``executor``'s graph is cached: a membership test, which
+    moves no hit/miss counter and refreshes nothing."""
+    return (executor.topology_key, executor.d, executor.n) in _EXECUTOR_CACHE

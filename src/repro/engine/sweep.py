@@ -60,14 +60,13 @@ from ..exceptions import (
     CheckpointCorruptionError,
     CheckpointMismatchError,
     InvalidParameterError,
-    UnknownTopologyError,
 )
 from ..graphs.msbfs import WORD_WIDTH
 from ..obs import DEFAULT_REGISTRY
-from ..topology import DEFAULT_TOPOLOGY, Topology, get_topology
+from ..topology import DEFAULT_TOPOLOGY, get_topology
 from ..words.alphabet import integers
 from ..analysis.fault_simulation import PAPER_FAULT_COUNTS, FaultSimulationRow
-from .executor import KernelExecutor, cached_executor
+from .executor import cached_executor
 
 __all__ = [
     "ParallelSweepEngine",
@@ -269,13 +268,12 @@ class ParallelSweepEngine:
     topology:
         Registry key of the swept network (default ``"debruijn"`` — the
         compatibility anchor whose rows are bit-for-bit the pre-registry
-        engine's), or a pre-built :class:`~repro.topology.base.Topology`.
-        Any key of :mod:`repro.topology` works: the per-trial seed streams,
-        sharding, batching and checkpointing are identical machinery for
-        every backend; checkpoints are keyed by the topology name.  An
-        *unregistered* custom instance is measured inline; only the
-        multiprocess path requires a registered key, since workers rebuild
-        the backend from it.
+        engine's).  Any key of :mod:`repro.topology` works: the per-trial
+        seed streams, sharding, batching and checkpointing are identical
+        machinery for every backend; checkpoints are keyed by the topology
+        name.  A custom backend is swept by registering it
+        (:func:`repro.topology.register_topology`) and passing its key, which
+        is also how worker processes resolve it.
     """
 
     def __init__(
@@ -288,15 +286,15 @@ class ParallelSweepEngine:
         checkpoint_every: int = 64,
         progress: Callable[[SweepProgress], None] | None = None,
         batch: int = WORD_WIDTH,
-        topology: str | Topology = DEFAULT_TOPOLOGY,
+        topology: str = DEFAULT_TOPOLOGY,
     ) -> None:
-        self.d, self.n = int(d), int(n)
+        self.d, self.n = integers((d, n), "d and n")
         self.root = None if root is None else tuple(int(x) for x in root)
         # resolve eagerly: validates the key and the (d, n) interpretation,
         # and provides the reference column for aggregation (tables stay
         # lazy, so this is cheap even in the multiprocess parent)
         self._topology = get_topology(topology, self.d, self.n)
-        self.topology = self._topology.key
+        self.topology = str(topology)
         self._root_code = None if self.root is None else self._topology.encode(self.root)
         if workers is not None and workers < 0:
             raise InvalidParameterError(f"workers must be >= 0, got {workers}")
@@ -373,10 +371,7 @@ class ParallelSweepEngine:
         total: int,
         checkpoint: _Checkpoint | None,
     ) -> None:
-        if self._registered():
-            executor = cached_executor(self.d, self.n, self.topology)
-        else:
-            executor = KernelExecutor(self.d, self.n, self._topology)
+        executor = cached_executor(self.d, self.n, self.topology)
         done = self._run_initial_done
         since_flush = 0
         for f, ts in pending.items():
@@ -404,15 +399,6 @@ class ParallelSweepEngine:
         total: int,
         checkpoint: _Checkpoint | None,
     ) -> None:
-        # workers rebuild the backend from its registry key, so the swept
-        # topology must resolve to the very backend measuring here — fail
-        # with a clear message instead of diverging inside the pool
-        if not self._registered():
-            raise InvalidParameterError(
-                f"topology {type(self._topology).__name__} is not the "
-                f"registered backend for key {self.topology!r}; register it "
-                f"(repro.topology.register_topology) or run with workers=None"
-            )
         shards = []
         for f, ts in pending.items():
             shard_size = max(1, math.ceil(len(ts) / (self.workers * _SHARDS_PER_WORKER)))
@@ -446,14 +432,6 @@ class ParallelSweepEngine:
                     self._report(done, total, f, lag=since_flush)
 
     # -- helpers --------------------------------------------------------------
-    def _registered(self) -> bool:
-        """Whether the registry key rebuilds this backend (same class)."""
-        try:
-            registered = get_topology(self.topology, self.d, self.n)
-        except UnknownTopologyError:
-            return False
-        return type(registered) is type(self._topology)
-
     def _checkpoint(self, rows: Sequence[int], trials: int, seed: int) -> _Checkpoint | None:
         if self.checkpoint_path is None:
             return None

@@ -112,14 +112,14 @@ class BoundedRegisteredCacheRule(Rule):
     _UNBOUNDED_DECORATORS = {"cache", "functools.cache"}
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        registered = self._registered_names(ctx)
+        registered = self._audited_names(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for deco in node.decorator_list:
                 yield from self._check_decorator(ctx, node, deco, registered)
 
-    def _registered_names(self, ctx: FileContext) -> set[str]:
+    def _audited_names(self, ctx: FileContext) -> set[str]:
         """Function names passed to a ``register_cache(name, fn)`` call."""
         names: set[str] = set()
         for node in ast.walk(ctx.tree):

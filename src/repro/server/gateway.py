@@ -51,10 +51,11 @@ routes:
     way), ``kernel`` (the shared launch), ``fallback`` (root-dead peeling,
     when taken) and ``reply`` (response build).
 
-One executor shard — one :class:`MicroBatcher` over one process-wide
-:func:`~repro.engine.executor.cached_executor` — exists per
-``(topology, d, n)`` served; the root rides per lane, so naming many roots
-adds no shards.  Every shard launches on the one process-wide kernel
+One executor shard — one :class:`MicroBatcher` viewing a process-wide
+:func:`~repro.engine.executor.cached_executor` — exists per resident or busy
+graph; the root rides per lane, so naming many roots adds no shards.  The
+executor cache owns each graph's tables, and an idle shard whose executor
+was evicted is dropped.  Every shard launches on the one process-wide kernel
 pool (a thread per core), so serving more graphs adds no threads either.
 Graphs above :data:`~repro.words.codec.MAX_NODES` nodes or
 :data:`~repro.words.codec.MAX_TABLE_ENTRIES` gather-table entries are
@@ -75,6 +76,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from ..churn.chaos import ChaosConfig, ChaosInjector
+from ..engine.executor import is_resident
 from ..engine.service import EmbeddingRequest, EmbeddingService, MeasureQuery
 from ..exceptions import (
     DeadlineExceededError,
@@ -167,7 +169,7 @@ class BatchingGateway:
             max_cached_answers=self.config.max_cached_answers,
             registry=self.registry,
         )
-        #: one micro-batcher per ``(topology, d, n)`` served, by shard name
+        #: one micro-batcher per resident or busy graph, by shard name
         self._batchers: dict[str, MicroBatcher] = {}
         self._server: asyncio.AbstractServer | None = None
         self._started = time.time()
@@ -202,12 +204,20 @@ class BatchingGateway:
 
     # -- shards ----------------------------------------------------------------
     def _shard(self, query: MeasureQuery) -> MicroBatcher:
-        """The (lazily created) micro-batcher of the query's executor shard,
-        named after its graph: ``kautz(2,8)``."""
+        """The micro-batcher of the query's graph, named after it:
+        ``kautz(2,8)``.  Shards follow the executor cache: every miss hands
+        one the resident executor, and creating one drops the idle shards
+        whose executor was evicted."""
         topo = query.topology
         name = f"{topo.key}({topo.d},{topo.n})"
         batcher = self._batchers.get(name)
         if batcher is None:
+            # a dropped shard's counters stay in the registry under its
+            # label, so re-creating it continues them
+            self._batchers = {
+                other: b for other, b in self._batchers.items()
+                if b.pending() or is_resident(b.executor)
+            }
             batcher = MicroBatcher(
                 query.executor,
                 max_batch=self.config.max_batch,
@@ -216,6 +226,7 @@ class BatchingGateway:
                 shard=name,
             )
             self._batchers[name] = batcher
+        batcher.executor = query.executor
         return batcher
 
     # -- endpoint implementations ----------------------------------------------

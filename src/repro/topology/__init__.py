@@ -15,9 +15,9 @@ reference/guarantee bounds), and the registry maps string keys to backends:
 
 Every sweep layer (`KernelExecutor`, `ParallelSweepEngine`,
 `simulate_fault_table`, the embedding service, ``python -m repro sweep
---topology ...``) resolves backends through :func:`get_topology`; the
-``debruijn`` backend is the compatibility anchor whose tables are bit-for-bit
-the pre-registry codec tables.
+--topology ...``) names a backend by its registry key and builds it through
+:func:`get_topology`; the ``debruijn`` backend is the compatibility anchor
+whose tables are bit-for-bit the pre-registry codec tables.
 """
 
 from .base import Topology

@@ -92,7 +92,7 @@ class Topology(ABC):
         self._predecessor_table: np.ndarray | None = None
         self._neighbour_table: np.ndarray | None = None
         self._predecessor_columns: tuple[np.ndarray, ...] | None = None
-        # instances are shared process-wide (registry cache) and the server
+        # a cached executor's instance is shared process-wide and the server
         # may touch a cold backend from several threads at once: the lazy
         # table builds below are guarded so no reader ever sees a
         # half-built table

@@ -2,11 +2,10 @@
 
 One registry serves every layer that takes a ``--topology``/``topology=``
 argument: the kernel executor, the parallel engine, the embedding service and
-the CLI all resolve backends through
-:func:`get_topology`.  Instances are cached per ``(key, d, n)`` in a small
-bounded LRU (their tables are the expensive part, and workloads revisit the
-same one or two graphs thousands of times — the same rationale as the codec
-cache).
+the CLI all name a backend by its key.  :func:`get_topology` builds a fresh
+instance (cheap: tables are built lazily); a served graph's shared instance
+and tables belong to its executor
+(:func:`repro.engine.executor.cached_executor`).
 
 Third-party backends can be added with :func:`register_topology`; the
 builtin keys are ``debruijn`` (the compatibility anchor), ``kautz``,
@@ -17,9 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..engine.cache import LRUCache
-from ..engine.caches import register_cache
 from ..exceptions import UnknownTopologyError
+from ..words.alphabet import integers
 from .base import Topology
 from .debruijn import DeBruijnTopology, UndirectedDeBruijnTopology
 from .hypercube import HypercubeTopology
@@ -38,20 +36,14 @@ DEFAULT_TOPOLOGY = "debruijn"
 
 _FACTORIES: dict[str, Callable[[int, int], Topology]] = {}
 
-#: Bounded, audited instance cache (see :mod:`repro.engine.caches`).
-_INSTANCE_CACHE = LRUCache(maxsize=8, name="topology.instances")
-register_cache("topology.instances", _INSTANCE_CACHE)
-
 
 def register_topology(key: str, factory: Callable[[int, int], Topology]) -> None:
     """Register a backend factory ``(d, n) -> Topology`` under ``key``.
 
-    Re-registering a key evicts the instance cache, so already-resolved
-    ``(key, d, n)`` combinations pick up the new factory instead of serving
-    stale instances of the old one.
+    Re-registering a key affects the instances built after it; an executor
+    already built on the old factory keeps its instance until it is evicted.
     """
     _FACTORIES[str(key)] = factory
-    _INSTANCE_CACHE.clear()
 
 
 def available_topologies() -> list[str]:
@@ -59,20 +51,20 @@ def available_topologies() -> list[str]:
     return sorted(_FACTORIES)
 
 
-def get_topology(key: str | Topology, d: int, n: int) -> Topology:
-    """Resolve a backend: a registry key (cached per ``(key, d, n)``) or a
-    pre-built :class:`Topology` instance passed through unchanged."""
-    if isinstance(key, Topology):
-        return key
+def get_topology(key: str, d: int, n: int) -> Topology:
+    """A fresh instance of the backend registered under ``key``.
+
+    ``d`` and ``n`` must be integer-valued (``2.7`` is rejected, never
+    truncated to another graph).
+    """
     try:
         factory = _FACTORIES[str(key)]
     except KeyError:
         raise UnknownTopologyError(
             f"unknown topology {key!r}; registered: {', '.join(available_topologies())}"
         ) from None
-    return _INSTANCE_CACHE.get_or_create(
-        (str(key), int(d), int(n)), lambda: factory(int(d), int(n))
-    )
+    d, n = integers((d, n), "d and n")
+    return factory(d, n)
 
 
 register_topology("debruijn", DeBruijnTopology)

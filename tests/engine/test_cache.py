@@ -1,5 +1,7 @@
 """Tests for the bounded LRU primitive and the process-wide cache audit."""
 
+import threading
+
 import pytest
 
 from repro.engine import LRUCache, cache_stats, clear_caches
@@ -42,6 +44,28 @@ class TestLRUCache:
         assert len(calls) == 1
         stats = cache.stats()
         assert stats.hits == 2 and stats.misses >= 1
+
+    def test_racing_builders_share_the_first_insert(self):
+        """Two threads that miss the same cold key both get one value."""
+        cache = LRUCache(4)
+        barrier = threading.Barrier(2, timeout=10)
+        got = [None, None]
+
+        def build():
+            barrier.wait()  # both builds run before either inserts
+            return object()
+
+        def worker(i):
+            got[i] = cache.get_or_create("k", build)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert got[0] is got[1] is cache.get("k")
+        assert len(cache) == 1
 
     def test_stats_and_clear(self):
         cache = LRUCache(3, name="test")
@@ -101,7 +125,7 @@ class TestCacheAudit:
             for attr, value in vars(module).items():
                 if isinstance(value, LRUCache):
                     found[f"{info.name}.{attr}"] = value
-        assert "repro.topology.registry._INSTANCE_CACHE" in found
+        assert "repro.engine.executor._EXECUTOR_CACHE" in found
         stats = cache_stats()
         for where, cache in found.items():
             assert cache.name in stats, f"{where} ({cache.name!r}) is not in cache_stats()"

@@ -149,19 +149,26 @@ class TestSharing:
         query = EmbeddingService().measure_query(2, 6)
         assert query.executor is executor
 
-    def test_shared_executor_follows_a_rebuilt_topology(self):
+    def test_the_shared_executor_owns_the_shared_topology(self):
+        # get_topology builds a fresh instance every call; the one instance
+        # a process gathers through is the cached executor's
+        first, second = get_topology("kautz", 2, 6), get_topology("kautz", 2, 6)
+        assert first is not second
         executor = cached_executor(2, 6, "kautz")
-        # push the backend out of the 8-slot topology LRU, then rebuild it
-        for n in range(3, 12):
-            get_topology("hypercube", 2, n)
-        rebuilt = get_topology("kautz", 2, 6)
-        assert rebuilt is not executor.topology
-        assert cached_executor(2, 6, "kautz").topology is rebuilt
+        assert cached_executor(2, 6, "kautz") is executor
+        assert executor.topology is not first and executor.topology is not second
+        assert executor.topology.key == "kautz"
+        assert (executor.d, executor.n, executor.topology_key) == (2, 6, "kautz")
+
+    @pytest.mark.parametrize("d, n", [(2.9, 6), (2, 6.5), (2, float("inf"))])
+    def test_cached_executor_refuses_non_integral_parameters(self, d, n):
+        cached_executor(2, 6)  # a resident B(2,6) must not answer for d=2.9
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            cached_executor(d, n)
 
     def test_simulate_fault_row_is_a_thin_client(self):
         # the sequential row is run_trial on the shared executor, one rng
         executor = cached_executor(2, 6, "kautz")
-        assert executor.topology is get_topology("kautz", 2, 6)
         rng = np.random.default_rng(0)
         samples = np.array([executor.run_trial(2, rng) for _ in range(5)])
         want = FaultSimulationRow.from_samples(
@@ -172,12 +179,6 @@ class TestSharing:
             2, 6, 2, trials=5, rng=np.random.default_rng(0), topology="kautz"
         )
         assert got == want
-
-    def test_executor_on_prebuilt_topology(self):
-        topology = get_topology("hypercube", 2, 5)
-        executor = KernelExecutor(2, 5, topology=topology)
-        assert executor.topology is topology
-        assert (executor.d, executor.n, executor.topology_key) == (2, 5, "hypercube")
 
     def test_service_measure_routes_through_shared_executor(self):
         from repro.engine.service import EmbeddingService

@@ -311,3 +311,28 @@ class TestCheckpointCorruption:
         error = CheckpointCorruptionError("/tmp/ck.json", "torn write")
         assert error.path == "/tmp/ck.json"
         assert error.detail == "torn write"
+
+
+class TestNonIntegralParameters:
+    """``d`` and ``n`` are refused unless integer-valued, never truncated."""
+
+    @pytest.mark.parametrize("d, n", [(2.7, 6.9), (2, 6.5), (2.5, 6)])
+    def test_engine_refuses(self, d, n):
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            ParallelSweepEngine(d, n)
+
+    def test_simulate_fault_table_refuses(self):
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            simulate_fault_table(2.5, 6, fault_counts=(1,), trials=2)
+
+    def test_simulate_fault_row_refuses(self):
+        from repro.analysis import simulate_fault_row
+
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            simulate_fault_row(2, 6.5, 1, trials=2)
+
+    def test_integral_floats_name_the_same_graph(self):
+        kwargs = {"fault_counts": (1,), "trials": 3, "seed": 0}
+        engine = ParallelSweepEngine(2.0, 6.0)
+        assert (engine.d, engine.n) == (2, 6)
+        assert engine.run(**kwargs) == ParallelSweepEngine(2, 6).run(**kwargs)

@@ -362,3 +362,54 @@ def test_distinct_graphs_share_the_kernel_pool():
             size, ecc, root = executor.measure_mask_with_root(mask)
             assert (answer["region_size"], answer["root_eccentricity"]) == (size, ecc)
             assert answer["root"] == (None if root is None else list(topo.decode(root)))
+
+
+def test_shards_follow_the_executor_cache():
+    """Two rounds over 13 graphs: at most 8 executors alive, one per graph.
+
+    The executor cache (8 entries) owns every graph's tables.  A shard
+    views the resident executor and is dropped once idle and evicted, so
+    shards never pin an evicted executor or a second copy of a graph; a
+    re-created shard continues its counters, and every answer is still
+    the scalar executor's answer.
+    """
+    from repro.engine.executor import _EXECUTOR_CACHE, KernelExecutor
+    from repro.topology import available_topologies, get_topology
+
+    graphs = [("debruijn", 2, 6), ("debruijn", 2, 7), ("debruijn", 3, 4),
+              ("kautz", 2, 6), ("kautz", 2, 7), ("kautz", 3, 4),
+              ("hypercube", 2, 6), ("hypercube", 2, 7), ("hypercube", 2, 8),
+              ("shuffle_exchange", 2, 6), ("shuffle_exchange", 2, 7),
+              ("undirected_debruijn", 2, 6), ("undirected_debruijn", 2, 7)]
+    assert {key for key, _, _ in graphs} == set(available_topologies())
+    # round 0 is fault-free and round 1 faults one node, so both miss the
+    # answer cache and reach a shard
+    rounds = [[], [3]]
+
+    async def scenario(gateway, host, port):
+        answers = []
+        for codes in rounds:
+            for key, d, n in graphs:
+                topo = get_topology(key, d, n)
+                payload = {"topology": key, "d": d, "n": n,
+                           "faults": [list(topo.decode(c)) for c in codes]}
+                [answer], _ = await fire_measure(host, port, [payload], concurrency=1)
+                answers.append((key, d, n, codes, answer))
+        shard_executors = [b.executor for b in gateway._batchers.values()]
+        return answers, shard_executors, gateway.stats()["shards"]
+
+    answers, shard_executors, shards = _with_gateway()(scenario)
+    alive = {id(e): e for e in [*shard_executors, *_EXECUTOR_CACHE._data.values()]}
+    graphs_alive = [(e.topology_key, e.d, e.n) for e in alive.values()]
+    assert len(alive) <= 8
+    assert len(set(graphs_alive)) == len(graphs_alive)
+    assert len(shards) <= 8
+    # every shard left was dropped in round 0 and re-created in round 1
+    assert all(shard["completed"] == len(rounds) for shard in shards.values())
+    for key, d, n, codes, answer in answers:
+        executor = KernelExecutor(d, n, key)
+        topo = executor.topology
+        mask = topo.fault_unit_mask(np.asarray(codes, dtype=np.int64))
+        size, ecc, root = executor.measure_mask_with_root(mask)
+        assert (answer["region_size"], answer["root_eccentricity"]) == (size, ecc)
+        assert answer["root"] == list(topo.decode(root))

@@ -9,6 +9,7 @@ implementations.
 import numpy as np
 import pytest
 
+from repro.engine.executor import cached_executor
 from repro.exceptions import InvalidParameterError, UnknownTopologyError
 from repro.graphs.debruijn import DeBruijnGraph
 from repro.graphs.hypercube import HypercubeGraph
@@ -38,14 +39,16 @@ class TestRegistry:
             get_topology("torus", 2, 5)
 
     def test_instances_cached_per_key_and_params(self):
-        a = get_topology("kautz", 2, 5)
-        b = get_topology("kautz", 2, 5)
-        c = get_topology("kautz", 2, 6)
+        # the executor cache owns the shared instance of each (key, d, n)
+        a = cached_executor(2, 5, "kautz").topology
+        b = cached_executor(2, 5, "kautz").topology
+        c = cached_executor(2, 6, "kautz").topology
         assert a is b and a is not c
 
-    def test_prebuilt_instance_passes_through(self):
-        topo = get_topology("hypercube", 2, 4)
-        assert get_topology(topo, 9, 9) is topo  # params ignored for instances
+    @pytest.mark.parametrize("d, n", [(2.5, 6), (2, 6.9), ("2", 6)])
+    def test_non_integral_parameters_rejected(self, d, n):
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            get_topology("debruijn", d, n)
 
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_protocol_surface(self, key):

@@ -23,7 +23,7 @@ import pytest
 from repro.analysis.fault_simulation import simulate_fault_table
 from repro.engine import EmbeddingService, ParallelSweepEngine
 from repro.engine.executor import KernelExecutor
-from repro.exceptions import CheckpointMismatchError
+from repro.exceptions import CheckpointMismatchError, UnknownTopologyError
 from repro.graphs.msbfs import pack_mask_lanes
 from repro.topology import get_topology
 from oracles.networkx_graphs import to_networkx
@@ -242,38 +242,20 @@ class TestTopologyCheckpoints:
 
 
 class TestTopologyInstance:
-    """A pre-built backend drives measurement AND aggregation."""
+    """The registry key drives measurement AND aggregation."""
 
     def test_engine_adopts_topology_instance(self):
-        topology = get_topology("hypercube", 2, 6)
-        [row] = ParallelSweepEngine(2, 6, topology=topology).run((1,), trials=4, seed=0)
+        [row] = ParallelSweepEngine(2, 6, topology="hypercube").run((1,), trials=4, seed=0)
         assert row.reference_size == 2**6 - 1  # hypercube N - f, not d^n - nf
 
-    def test_run_table_on_unregistered_topology_instance(self):
-        from repro.topology import HypercubeTopology
-
-        class CustomCube(HypercubeTopology):
-            key = "custom_cube_for_test"
-
-        engine = ParallelSweepEngine(2, 5, topology=CustomCube(2, 5))
-        rows = engine.run(fault_counts=(0, 1), trials=3, seed=0)
-        assert rows[0].max_size == 32
-        assert rows[1].reference_size == 32 - 1  # single-node units
-
-    def test_unregistered_topology_cannot_run_parallel(self):
-        from repro.topology import HypercubeTopology
-
-        class CustomCube(HypercubeTopology):
-            key = "custom_cube_for_test_2"
-
-        engine = ParallelSweepEngine(2, 5, topology=CustomCube(2, 5), workers=2)
-        with pytest.raises(Exception, match="register"):
-            engine.run((1,), trials=2, seed=0)
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_unknown_topology_key_is_refused(self, workers):
+        with pytest.raises(UnknownTopologyError):
+            ParallelSweepEngine(2, 5, topology="custom_cube_for_test", workers=workers)
 
     def test_checkpoint_header_uses_instance_topology(self, tmp_path):
         path = tmp_path / "ck.json"
-        topology = get_topology("shuffle_exchange", 2, 6)
-        ParallelSweepEngine(2, 6, topology=topology, checkpoint_path=path).run(
+        ParallelSweepEngine(2, 6, topology="shuffle_exchange", checkpoint_path=path).run(
             (1,), trials=2, seed=0
         )
         assert json.loads(path.read_text())["topology"] == "shuffle_exchange"
